@@ -26,7 +26,6 @@ from .poly2 import (
     V,
     adjugate2,
     det2,
-    kron2,
     mat2,
     vec2,
 )
@@ -46,7 +45,6 @@ from .dmap import (
     DMapRecord,
     ValidationError,
     ValidationReport,
-    c1_conditions,
     canonical_dmap,
     jacobian,
     reduce_field,
@@ -61,6 +59,7 @@ from .sobolev import (
     leading_part,
     monomial_in_Lp,
     p_range,
+    quotient,
     quotient_first,
     quotient_second,
     weight,
@@ -105,7 +104,6 @@ __all__ = [
     "mat2",
     "det2",
     "adjugate2",
-    "kron2",
     # bernstein
     "POSITIVE",
     "WITNESS",
@@ -124,7 +122,6 @@ __all__ = [
     "validate",
     "standardize",
     "reduce_field",
-    "c1_conditions",
     "canonical_dmap",
     "jacobian",
     # sobolev
@@ -136,6 +133,7 @@ __all__ = [
     "monomial_in_Lp",
     "p_range",
     "leading_part",
+    "quotient",
     "quotient_first",
     "quotient_second",
     # constraints

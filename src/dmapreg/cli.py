@@ -26,7 +26,6 @@ from .constraints import (
     CoefficientSpace,
     ConstraintSystem,
     admissible_basis,
-    c1_system,
     constraints_for,
 )
 from .dmap import (
@@ -34,12 +33,17 @@ from .dmap import (
     ValidationError,
     ValidationReport,
     canonical_dmap,
-    reduce_field,
     standardize,
     validate,
 )
 from .poly2 import Poly2
-from .sobolev import InternalInconsistencyError, RegularityReport, classify
+from .sobolev import (
+    InternalInconsistencyError,
+    QuotientData,
+    RegularityReport,
+    classify,
+    quotient,
+)
 from .verify import (
     CONVERGENT,
     DIVERGENT_LOG,
@@ -53,7 +57,6 @@ from .verify import (
     log_squared_integral,
     truncated_norm,
 )
-from .sobolev import quotient_first, quotient_second
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -283,12 +286,8 @@ def _job_record(job: Dict[str, Any], trust_jacobian: bool) -> DMapRecord:
 
 
 def _verify_block(
-    record: DMapRecord, z: Poly2, report: RegularityReport, j_max: int
+    record: DMapRecord, quotient: QuotientData, report: RegularityReport, j_max: int
 ) -> Dict[str, Any]:
-    if report.k == 1:
-        quotient = quotient_first(record, z)
-    else:
-        quotient = quotient_second(record, reduce_field(record, z))
     p_in, p_out = agreement_probes(report)
     block: Dict[str, Any] = {}
     consistent = True
@@ -340,7 +339,7 @@ def _run_classify(job: Dict[str, Any], args: argparse.Namespace) -> Dict[str, An
         report = classify(record, z, k)
         entry = _classification_dict(report)
         if do_verify:
-            entry["verify"] = _verify_block(record, z, report, j_max)
+            entry["verify"] = _verify_block(record, quotient(record, z, k), report, j_max)
         classifications.append(entry)
     return {"command": "classify", "classifications": classifications}
 
@@ -375,16 +374,13 @@ def _run_verify(job: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]
     for k in ks:
         report = classify(record, z, k)
         entry = _classification_dict(report)
-        entry["verify"] = _verify_block(record, z, report, j_max)
+        q = quotient(record, z, k)
+        entry["verify"] = _verify_block(record, q, report, j_max)
         if "p" in job:
             p = _parse_rational(job["p"], "p")
             if p < 1:
                 raise JobError("p: must be at least 1")
-            if report.k == 1:
-                quotient = quotient_first(record, z)
-            else:
-                quotient = quotient_second(record, reduce_field(record, z))
-            diag = truncated_norm(record, quotient.P, quotient.ell, p, j_max=j_max)
+            diag = truncated_norm(record, q.P, q.ell, p, j_max=j_max)
             expected = report.contains(p)
             agree = (
                 False

@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .dmap import DMapRecord
 from .poly2 import Poly2
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dmap import DMapRecord
+from .sobolev import Condition, Form, cascade, case_bands, evaluate_form
 
 PLike = Union[int, Fraction]
 _F0 = Fraction(0)
@@ -72,7 +71,11 @@ class ConstraintSystem:
     rows: Tuple[Tuple[Fraction, ...], ...]
     labels: Tuple[str, ...]
     reduced: Tuple[Tuple[Fraction, ...], ...]
-    rank: int
+    pivots: Tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
     @property
     def admissible_dimension(self) -> int:
@@ -138,142 +141,32 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], Lis
 
 # -- condition construction --------------------------------------------------
 
-WForm = Dict[Tuple[int, int], Fraction]
-
-
-def _k1_forms(case: str) -> List[Tuple[str, WForm]]:
-    forms = {
-        "a": [],
-        "b": [("z10", {(1, 0): Fraction(1)}), ("z01", {(0, 1): Fraction(1)})],
-        "c": [("z11", {(1, 1): Fraction(1)})],
-    }
-    return forms[case]
-
-
-def _k2_forms(record: "DMapRecord", case: str) -> List[Tuple[str, WForm]]:
-    alpha, beta, gamma, delta = record.params
-
-    def pair(j: int, k: int) -> Tuple[Fraction, Fraction]:
-        return record.y.coeff(j, k)
-
-    if case == "a":
-        return [("w10", {(1, 0): Fraction(1)}), ("w01", {(0, 1): Fraction(1)})]
-    if case == "b":
-        return [("w11", {(1, 1): Fraction(1)})]
-    if case == "c":
-        return [("w21", {(2, 1): Fraction(1)}), ("w12", {(1, 2): Fraction(1)})]
-    if case == "d":
-        return [
-            (
-                "w31 - (3/2)*alpha*w30",
-                {(3, 1): Fraction(1), (3, 0): -Fraction(3, 2) * alpha},
-            ),
-            (
-                "w13 - (3/2)*delta*w03",
-                {(1, 3): Fraction(1), (0, 3): -Fraction(3, 2) * delta},
-            ),
-        ]
-    if case == "e":
-        return [
-            ("w30", {(3, 0): Fraction(1)}),
-            ("w03", {(0, 3): Fraction(1)}),
-            ("w31", {(3, 1): Fraction(1)}),
-            ("w13", {(1, 3): Fraction(1)}),
-            (
-                "w41 - 2*alpha*w40 - beta*w22",
-                {(4, 1): Fraction(1), (4, 0): -2 * alpha, (2, 2): -beta},
-            ),
-            (
-                "w14 - 2*delta*w04 - gamma*w22",
-                {(1, 4): Fraction(1), (0, 4): -2 * delta, (2, 2): -gamma},
-            ),
-        ]
-    if case == "f":
-        # The u-side pairs are component-swapped: the identity is the u <-> v
-        # mirror of the v-side one, and the swap exchanges the map components.
-        vec_u = [
-            2 * a - 3 * alpha * b - 2 * beta * g
-            for a, b, g in zip(pair(3, 1)[::-1], pair(3, 0)[::-1], pair(1, 2)[::-1])
-        ]
-        vec_v = [
-            2 * a - 3 * delta * b - 2 * gamma * g
-            for a, b, g in zip(pair(1, 3), pair(0, 3), pair(2, 1))
-        ]
-        return [
-            (
-                "w51 - [w22/2, w40].swap(2*y31 - 3*alpha*y30 - 2*beta*y12) - beta*w32 - (5/2)*alpha*w50",
-                {
-                    (5, 1): Fraction(1),
-                    (2, 2): -vec_u[0] / 2,
-                    (4, 0): -vec_u[1],
-                    (3, 2): -beta,
-                    (5, 0): -Fraction(5, 2) * alpha,
-                },
-            ),
-            (
-                "w15 - [w22/2, w04].(2*y13 - 3*delta*y03 - 2*gamma*y21) - gamma*w23 - (5/2)*delta*w05",
-                {
-                    (1, 5): Fraction(1),
-                    (2, 2): -vec_v[0] / 2,
-                    (0, 4): -vec_v[1],
-                    (2, 3): -gamma,
-                    (0, 5): -Fraction(5, 2) * delta,
-                },
-            ),
-        ]
-    raise ValueError(f"unknown case {case!r}")
-
-
-_K1_SUPS: List[Tuple[str, Optional[Fraction]]] = [
-    ("a", Fraction(3)),
-    ("b", Fraction(6)),
-    ("c", None),
-]
-_K2_SUPS: List[Tuple[str, Optional[Fraction]]] = [
-    ("a", Fraction(6, 5)),
-    ("b", Fraction(3, 2)),
-    ("c", Fraction(2)),
-    ("d", Fraction(3)),
-    ("e", Fraction(6)),
-    ("f", None),
-]
-
 
 def case_for_p(k: int, p: PLike) -> str:
     """The case whose band [previous sup, own sup) contains p."""
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
+    bands = case_bands(k)
     p = Fraction(p)
     if p < 1:
         raise ValueError("p must be at least 1")
-    table = _K1_SUPS if k == 1 else _K2_SUPS
-    for case, sup in table:
-        if sup is None or p < sup:
-            return case
-    raise AssertionError("unreachable")
+    return next(case for case, _, sup in bands if sup is None or p < sup)
 
 
-def _pullback_row(
-    record: "DMapRecord", form: WForm, space: CoefficientSpace
-) -> List[Fraction]:
-    """Row of a w-condition over the raw coefficient space."""
-    row = [_F0] * space.dimension
-    shift_1 = _F0
-    shift_2 = _F0
+def _pullback(record: DMapRecord, form: Form) -> Form:
+    """A w-condition as a z-condition.
+
+    The reduction w_jk = z_jk - z20 (y_jk)_1 - z02 (y_jk)_2 moves each term of
+    the form onto z_jk, z20 and z02.
+    """
+    pulled = dict(form)
     for (j, k), coeff in form.items():
-        if space.contains(j, k):
-            row[space.index_of(j, k)] += coeff
-        y_jk = record.y.coeff(j, k)
-        shift_1 += coeff * y_jk[0]
-        shift_2 += coeff * y_jk[1]
-    if space.contains(2, 0):
-        row[space.index_of(2, 0)] -= shift_1
-    if space.contains(0, 2):
-        row[space.index_of(0, 2)] -= shift_2
-    return row
+        y1, y2 = record.y.coeff(j, k)
+        pulled[(2, 0)] = pulled.get((2, 0), _F0) - coeff * y1
+        pulled[(0, 2)] = pulled.get((0, 2), _F0) - coeff * y2
+    return pulled
 
 
-def _direct_row(form: WForm, space: CoefficientSpace) -> List[Fraction]:
+def _row(form: Form, space: CoefficientSpace) -> List[Fraction]:
+    """Row of a z-condition; coefficients outside the space are zero."""
     row = [_F0] * space.dimension
     for (j, k), coeff in form.items():
         if space.contains(j, k):
@@ -282,98 +175,71 @@ def _direct_row(form: WForm, space: CoefficientSpace) -> List[Fraction]:
 
 
 def _build_system(
-    space: CoefficientSpace, labelled_rows: List[Tuple[str, List[Fraction]]]
+    space: CoefficientSpace, labelled_forms: List[Condition]
 ) -> ConstraintSystem:
-    rows = tuple(tuple(row) for _, row in labelled_rows)
-    labels = tuple(label for label, _ in labelled_rows)
+    rows = tuple(tuple(_row(form, space)) for _, form in labelled_forms)
     reduced, pivots = _rref(rows)
     return ConstraintSystem(
         space=space,
         rows=rows,
-        labels=labels,
+        labels=tuple(label for label, _ in labelled_forms),
         reduced=tuple(tuple(row) for row in reduced),
-        rank=len(pivots),
+        pivots=tuple(pivots),
     )
 
 
 def constraints_for(
-    record: "DMapRecord", k: int, p: PLike, space: CoefficientSpace
+    record: DMapRecord, k: int, p: PLike, space: CoefficientSpace
 ) -> ConstraintSystem:
     """Cumulative conditions for membership in W^{k,p} over the given space."""
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    p = Fraction(p)
-    if p < 1:
-        raise ValueError("p must be at least 1")
     selected = case_for_p(k, p)
-    labelled: List[Tuple[str, List[Fraction]]] = []
-    table = _K1_SUPS if k == 1 else _K2_SUPS
-    for case, _ in table:
-        if k == 1:
-            forms = _k1_forms(case)
-            rows = [(f"k1:{case}:{name}", _direct_row(form, space)) for name, form in forms]
-        else:
-            forms = _k2_forms(record, case)
-            rows = [
-                (f"k2:{case}:{name}", _pullback_row(record, form, space))
-                for name, form in forms
-            ]
-        labelled.extend(rows)
+    labelled: List[Condition] = []
+    for case, _, _, conditions in cascade(record, k):
+        for label, form in conditions:
+            z_form = form if k == 1 else _pullback(record, form)
+            labelled.append((f"k{k}:{case}:{label}", z_form))
         if case == selected:
             break
     return _build_system(space, labelled)
 
 
+def _c1_forms(record: DMapRecord) -> List[Condition]:
+    """Continuous differentiability: the order-1 cascade through case c plus
+    the two coplanarity identities of the second-order terms."""
+    alpha, beta, gamma, delta = record.params
+    return [cond for *_, conditions in cascade(record, 1) for cond in conditions] + [
+        ("z21 - alpha*z20 - beta*z02", {(2, 1): 1, (2, 0): -alpha, (0, 2): -beta}),
+        ("z12 - gamma*z20 - delta*z02", {(1, 2): 1, (2, 0): -gamma, (0, 2): -delta}),
+    ]
+
+
 def c1_system(
-    record: "DMapRecord", space: Optional[CoefficientSpace] = None
+    record: DMapRecord, space: Optional[CoefficientSpace] = None
 ) -> ConstraintSystem:
     """The five conditions for a continuously differentiable composite."""
     if space is None:
         space = CoefficientSpace(2, 2)
-    alpha, beta, gamma, delta = record.params
-    forms: List[Tuple[str, WForm]] = [
-        ("z10", {(1, 0): Fraction(1)}),
-        ("z01", {(0, 1): Fraction(1)}),
-        ("z11", {(1, 1): Fraction(1)}),
-        (
-            "z21 - alpha*z20 - beta*z02",
-            {(2, 1): Fraction(1), (2, 0): -alpha, (0, 2): -beta},
-        ),
-        (
-            "z12 - gamma*z20 - delta*z02",
-            {(1, 2): Fraction(1), (2, 0): -gamma, (0, 2): -delta},
-        ),
-    ]
-    labelled = [(f"c1:{name}", _direct_row(form, space)) for name, form in forms]
+    labelled = [(f"c1:{label}", form) for label, form in _c1_forms(record)]
     return _build_system(space, labelled)
 
 
-def c1_residuals(record: "DMapRecord", z: Poly2) -> List[Tuple[str, Fraction]]:
+def c1_residuals(record: DMapRecord, z: Poly2) -> List[Tuple[str, Fraction]]:
     """Exact residuals of the five differentiability conditions for z."""
     if z.dim != 1:
         raise ValueError("the field must be a scalar polynomial")
-    alpha, beta, gamma, delta = record.params
-    c = z.coeff
-    return [
-        ("z10", c(1, 0)),
-        ("z01", c(0, 1)),
-        ("z11", c(1, 1)),
-        ("z21 - alpha*z20 - beta*z02", c(2, 1) - alpha * c(2, 0) - beta * c(0, 2)),
-        ("z12 - gamma*z20 - delta*z02", c(1, 2) - gamma * c(2, 0) - delta * c(0, 2)),
-    ]
+    return [(label, evaluate_form(form, z)) for label, form in _c1_forms(record)]
 
 
 def admissible_basis(system: ConstraintSystem) -> Tuple[Poly2, ...]:
     """Nullspace basis of the constraint rows, in reduced echelon order."""
     space = system.space
-    reduced, pivots = _rref(system.rows)
-    pivot_set = set(pivots)
+    pivot_set = set(system.pivots)
     free_cols = [col for col in range(space.dimension) if col not in pivot_set]
     indices = space.indices()
     basis = []
     for free in free_cols:
         coeffs: Dict[Tuple[int, int], Fraction] = {indices[free]: Fraction(1)}
-        for row, pivot_col in zip(reduced, pivots):
+        for row, pivot_col in zip(system.reduced, system.pivots):
             if row[free] != 0:
                 coeffs[indices[pivot_col]] = -row[free]
         basis.append(Poly2(1, coeffs))

@@ -48,6 +48,14 @@ FAILED = "failed"
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
+#: Certification budget: dyadic halvings tried for the origin radius, the
+#: subdivision depth and the number of Bernstein boxes per map, and the side
+#: of the sampling grid used when certification gives up.
+ORIGIN_SHRINK_MAX = 16
+MAX_DEPTH = 10
+MAX_BOXES = 4000
+SAMPLE_N = 48
+
 
 class ValidationError(ValueError):
     """Raised when a map offered as a D-map fails validation."""
@@ -105,10 +113,6 @@ class DMapRecord:
     mu: Poly2
     gamma_adj: PolyMat2
     positivity_certified: bool
-
-    def y_coeff(self, j: int, k: int) -> Pair:
-        value = self.y.coeff(j, k)
-        return value  # dim 2 -> pair
 
 
 def jacobian(map2: Poly2) -> PolyMat2:
@@ -176,9 +180,7 @@ def _negative_parameter_witness(mu: Poly2, beta: Fraction, gamma: Fraction) -> O
     return None
 
 
-def _origin_radius(
-    mu: Poly2, beta: Fraction, gamma: Fraction, shrink_max: int
-) -> Optional[Fraction]:
+def _origin_radius(mu: Poly2, beta: Fraction, gamma: Fraction) -> Optional[Fraction]:
     """Dyadic eps with mu > 0 certified on {u + v <= eps} minus the origin.
 
     Writes mu = 4uv + 2 beta u^3 + 2 gamma v^3 + nu and bounds each remainder
@@ -203,7 +205,7 @@ def _origin_radius(
             return None
         exponents.append((abs(coeff), e))
     threshold = min(Fraction(4), 2 * beta, 2 * gamma)
-    for i in range(1, shrink_max + 1):
+    for i in range(1, ORIGIN_SHRINK_MAX + 1):
         eps = Fraction(1, 2**i)
         c_sum = sum((mag * eps**e for mag, e in exponents), _F0)
         if c_sum < threshold:
@@ -227,9 +229,9 @@ def _strip_boxes(inner: Fraction) -> List[Tuple[Fraction, Fraction, Fraction, Fr
     return boxes
 
 
-def _sample_grid(mu: Poly2, n: int) -> Tuple[str, Optional[Pair]]:
-    """Dense rational sampling fallback: exact sign checks on an n x n grid."""
-    points = [Fraction(a, n) for a in range(n + 1)]
+def _sample_grid(mu: Poly2) -> Tuple[str, Optional[Pair]]:
+    """Dense rational sampling fallback: exact sign checks on a SAMPLE_N grid."""
+    points = [Fraction(a, SAMPLE_N) for a in range(SAMPLE_N + 1)]
     u_powers = {}
     max_j = mu.max_degree_u
     for u in points:
@@ -259,48 +261,32 @@ def _sample_grid(mu: Poly2, n: int) -> Tuple[str, Optional[Pair]]:
 
 
 def _check_positivity(
-    mu: Poly2,
-    beta: Fraction,
-    gamma: Fraction,
-    *,
-    trust_jacobian: bool,
-    origin_shrink_max: int,
-    max_depth: int,
-    max_boxes: int,
-    sample_n: int,
+    mu: Poly2, beta: Fraction, gamma: Fraction, trust_jacobian: bool
 ) -> Tuple[str, Optional[Pair]]:
     if trust_jacobian:
-        return _sample_grid(mu, sample_n)
+        return _sample_grid(mu)
     if beta < 0 or gamma < 0:
         witness = _negative_parameter_witness(mu, beta, gamma)
         if witness is not None:
             return FAILED, witness
-        return _sample_grid(mu, sample_n)
-    eps = _origin_radius(mu, beta, gamma, origin_shrink_max)
+        return _sample_grid(mu)
+    eps = _origin_radius(mu, beta, gamma)
     if eps is None:
-        return _sample_grid(mu, sample_n)
-    budget = SubdivisionBudget(remaining=max_boxes)
+        return _sample_grid(mu)
+    budget = SubdivisionBudget(remaining=MAX_BOXES)
     for box in _strip_boxes(eps / 2):
-        status, point = certify_positive_on_box(mu, box, max_depth=max_depth, budget=budget)
+        status, point = certify_positive_on_box(mu, box, max_depth=MAX_DEPTH, budget=budget)
         if status == WITNESS:
             return FAILED, point
         if status == UNKNOWN:
-            return _sample_grid(mu, sample_n)
+            return _sample_grid(mu)
     return CERTIFIED, None
 
 
 # -- public operations -------------------------------------------------------
 
 
-def _analyze(
-    x: Poly2,
-    *,
-    trust_jacobian: bool,
-    origin_shrink_max: int,
-    max_depth: int,
-    max_boxes: int,
-    sample_n: int,
-) -> Tuple[ValidationReport, Optional[DMapRecord]]:
+def _analyze(x: Poly2, trust_jacobian: bool) -> Tuple[ValidationReport, Optional[DMapRecord]]:
     if x.dim != 2:
         raise ValueError("a geometry map must be R^2-valued")
     if x.is_zero:
@@ -324,16 +310,7 @@ def _analyze(
     gamma, delta = _pair(y, 1, 2)
     dy = jacobian(y)
     mu = det2(dy)
-    status, witness = _check_positivity(
-        mu,
-        beta,
-        gamma,
-        trust_jacobian=trust_jacobian,
-        origin_shrink_max=origin_shrink_max,
-        max_depth=max_depth,
-        max_boxes=max_boxes,
-        sample_n=sample_n,
-    )
+    status, witness = _check_positivity(mu, beta, gamma, trust_jacobian)
     report = ValidationReport(True, True, True, True, status, witness)
     if status == FAILED:
         return report, None
@@ -350,45 +327,15 @@ def _analyze(
     return report, record
 
 
-def validate(
-    x: Poly2,
-    *,
-    trust_jacobian: bool = False,
-    origin_shrink_max: int = 16,
-    max_depth: int = 10,
-    max_boxes: int = 4000,
-    sample_n: int = 48,
-) -> ValidationReport:
+def validate(x: Poly2, *, trust_jacobian: bool = False) -> ValidationReport:
     """Check the D-map properties of x and report each flag."""
-    report, _ = _analyze(
-        x,
-        trust_jacobian=trust_jacobian,
-        origin_shrink_max=origin_shrink_max,
-        max_depth=max_depth,
-        max_boxes=max_boxes,
-        sample_n=sample_n,
-    )
+    report, _ = _analyze(x, trust_jacobian)
     return report
 
 
-def standardize(
-    x: Poly2,
-    *,
-    trust_jacobian: bool = False,
-    origin_shrink_max: int = 16,
-    max_depth: int = 10,
-    max_boxes: int = 4000,
-    sample_n: int = 48,
-) -> DMapRecord:
+def standardize(x: Poly2, *, trust_jacobian: bool = False) -> DMapRecord:
     """Validate x and return its standard-form record; reject otherwise."""
-    report, record = _analyze(
-        x,
-        trust_jacobian=trust_jacobian,
-        origin_shrink_max=origin_shrink_max,
-        max_depth=max_depth,
-        max_boxes=max_boxes,
-        sample_n=sample_n,
-    )
+    report, record = _analyze(x, trust_jacobian)
     if record is None:
         raise ValidationError(report)
     return record
@@ -407,15 +354,6 @@ def reduce_field(record: DMapRecord, z: Poly2) -> Poly2:
     z02 = z.coeff(0, 2)
     y1, y2 = record.y.components()
     return z - z20 * y1 - z02 * y2
-
-
-def c1_conditions(record: DMapRecord, space=None):
-    """Constraint system whose solutions define continuously differentiable
-    composites: z10 = z01 = z11 = 0 plus the two coplanarity identities
-    z21 = alpha z20 + beta z02 and z12 = gamma z20 + delta z02."""
-    from . import constraints
-
-    return constraints.c1_system(record, space)
 
 
 @functools.lru_cache(maxsize=1)

@@ -295,23 +295,6 @@ def adjugate2(matrix: PolyMat2) -> PolyMat2:
     return mat2(m[1][1], -m[0][1], -m[1][0], m[0][0])
 
 
-def kron2(a: PolyMat2, b: PolyMat2) -> Tuple[Tuple[Poly2, ...], ...]:
-    """Kronecker product as a 4x4 grid of scalar polynomials.
-
-    Row index (i, j) and column index (k, l) are flattened as 2*i + j and
-    2*k + l, so entry ((i, j), (k, l)) equals A[i, k] * B[j, l].
-    """
-    grid = []
-    for i in range(2):
-        for j in range(2):
-            row = []
-            for k in range(2):
-                for l in range(2):
-                    row.append(a[(i, k)] * b[(j, l)])
-            grid.append(tuple(row))
-    return tuple(grid)
-
-
 def row_times_mat2(row: Sequence[Poly2], matrix: PolyMat2) -> Tuple[Poly2, Poly2]:
     """(1x2 row) * (2x2 matrix)."""
     if len(row) != 2:
@@ -320,17 +303,3 @@ def row_times_mat2(row: Sequence[Poly2], matrix: PolyMat2) -> Tuple[Poly2, Poly2
         row[0] * matrix[(0, 0)] + row[1] * matrix[(1, 0)],
         row[0] * matrix[(0, 1)] + row[1] * matrix[(1, 1)],
     )
-
-
-def row_times_grid(row: Sequence[Poly2], grid: Sequence[Sequence[Poly2]]) -> Tuple[Poly2, ...]:
-    """(1xn row) * (nxm grid) for scalar polynomial grids."""
-    if len(row) != len(grid):
-        raise ValueError(f"row length {len(row)} does not match grid height {len(grid)}")
-    width = len(grid[0])
-    out = []
-    for col in range(width):
-        acc = Poly2.zero()
-        for i, entry in enumerate(row):
-            acc = acc + entry * grid[i][col]
-        out.append(acc)
-    return tuple(out)

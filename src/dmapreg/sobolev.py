@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .dmap import DMapRecord, reduce_field
-from .poly2 import Poly2, kron2, row_times_grid, row_times_mat2
+from .poly2 import Poly2, row_times_mat2
 
 PLike = Union[int, Fraction]
 
@@ -139,6 +139,13 @@ def quotient_second(record: DMapRecord, w: Poly2) -> QuotientData:
     return QuotientData(k=2, P=Poly2.from_components(list(row)), ell=3)
 
 
+def quotient(record: DMapRecord, z: Poly2, k: int) -> QuotientData:
+    """The order-k quotient of a raw field; order 2 reduces the field first."""
+    if k == 1:
+        return quotient_first(record, z)
+    return quotient_second(record, reduce_field(record, z))
+
+
 def _truncated_second_quotient(record: DMapRecord, w: Poly2, r_max: int) -> Poly2:
     cut = lambda poly: poly.filter_terms(lambda j, k: weight(j, k) <= r_max)
     row = _second_order_row(record, w, post=cut)
@@ -182,29 +189,27 @@ class RegularityReport:
         return f"[1, {self.p_sup})"
 
 
-_Condition = Tuple[str, Fraction]
+#: A linear form on the coefficients of a field: {(j, k): coefficient}.
+Form = Dict[Tuple[int, int], Fraction]
+Condition = Tuple[str, Form]
 
 
-def _k1_cases(z: Poly2) -> List[Tuple[str, List[_Condition], Optional[Fraction]]]:
-    z10 = z.coeff(1, 0)
-    z01 = z.coeff(0, 1)
-    z11 = z.coeff(1, 1)
+def evaluate_form(form: Form, field: Poly2) -> Fraction:
+    """The value of a linear form on the coefficients of a scalar field."""
+    return sum((c * field.coeff(j, k) for (j, k), c in form.items()), Fraction(0))
+
+
+def _k1_conditions() -> List[List[Condition]]:
     return [
-        ("a", [], Fraction(3)),
-        ("b", [("z10", z10), ("z01", z01)], Fraction(6)),
-        ("c", [("z11", z11)], None),
+        [],
+        [("z10", {(1, 0): 1}), ("z01", {(0, 1): 1})],
+        [("z11", {(1, 1): 1})],
     ]
 
 
-def _k2_cases(
-    record: DMapRecord, w: Poly2
-) -> List[Tuple[str, List[_Condition], Optional[Fraction]]]:
+def _k2_conditions(record: DMapRecord) -> List[List[Condition]]:
     alpha, beta, gamma, delta = record.params
-    c = w.coeff
-
-    def pair(j: int, k: int) -> Tuple[Fraction, Fraction]:
-        return record.y.coeff(j, k)
-
+    pair = record.y.coeff
     # The u-side identity mirrors the v-side one under the u <-> v swap, which
     # also exchanges the two map components; hence the reversed pairs here.
     vec_u = [
@@ -215,50 +220,73 @@ def _k2_cases(
         2 * a - 3 * delta * b - 2 * gamma * g
         for a, b, g in zip(pair(1, 3), pair(0, 3), pair(2, 1))
     ]
-    res_51 = c(5, 1) - (
-        c(2, 2) / 2 * vec_u[0] + c(4, 0) * vec_u[1] + beta * c(3, 2) + Fraction(5, 2) * alpha * c(5, 0)
-    )
-    res_15 = c(1, 5) - (
-        c(2, 2) / 2 * vec_v[0] + c(0, 4) * vec_v[1] + gamma * c(2, 3) + Fraction(5, 2) * delta * c(0, 5)
-    )
     return [
-        ("a", [("w10", c(1, 0)), ("w01", c(0, 1))], Fraction(6, 5)),
-        ("b", [("w11", c(1, 1))], Fraction(3, 2)),
-        ("c", [("w21", c(2, 1)), ("w12", c(1, 2))], Fraction(2)),
-        (
-            "d",
-            [
-                ("w31 - (3/2)*alpha*w30", c(3, 1) - Fraction(3, 2) * alpha * c(3, 0)),
-                ("w13 - (3/2)*delta*w03", c(1, 3) - Fraction(3, 2) * delta * c(0, 3)),
-            ],
-            Fraction(3),
-        ),
-        (
-            "e",
-            [
-                ("w30", c(3, 0)),
-                ("w03", c(0, 3)),
-                ("w31", c(3, 1)),
-                ("w13", c(1, 3)),
-                ("w41 - 2*alpha*w40 - beta*w22", c(4, 1) - 2 * alpha * c(4, 0) - beta * c(2, 2)),
-                ("w14 - 2*delta*w04 - gamma*w22", c(1, 4) - 2 * delta * c(0, 4) - gamma * c(2, 2)),
-            ],
-            Fraction(6),
-        ),
-        (
-            "f",
-            [
-                ("w51 - [w22/2, w40].swap(2*y31 - 3*alpha*y30 - 2*beta*y12) - beta*w32 - (5/2)*alpha*w50", res_51),
-                ("w15 - [w22/2, w04].(2*y13 - 3*delta*y03 - 2*gamma*y21) - gamma*w23 - (5/2)*delta*w05", res_15),
-            ],
-            None,
-        ),
+        [("w10", {(1, 0): 1}), ("w01", {(0, 1): 1})],
+        [("w11", {(1, 1): 1})],
+        [("w21", {(2, 1): 1}), ("w12", {(1, 2): 1})],
+        [
+            ("w31 - (3/2)*alpha*w30", {(3, 1): 1, (3, 0): -Fraction(3, 2) * alpha}),
+            ("w13 - (3/2)*delta*w03", {(1, 3): 1, (0, 3): -Fraction(3, 2) * delta}),
+        ],
+        [
+            ("w30", {(3, 0): 1}),
+            ("w03", {(0, 3): 1}),
+            ("w31", {(3, 1): 1}),
+            ("w13", {(1, 3): 1}),
+            ("w41 - 2*alpha*w40 - beta*w22", {(4, 1): 1, (4, 0): -2 * alpha, (2, 2): -beta}),
+            ("w14 - 2*delta*w04 - gamma*w22", {(1, 4): 1, (0, 4): -2 * delta, (2, 2): -gamma}),
+        ],
+        [
+            (
+                "w51 - [w22/2, w40].swap(2*y31 - 3*alpha*y30 - 2*beta*y12) - beta*w32 - (5/2)*alpha*w50",
+                {
+                    (5, 1): 1,
+                    (2, 2): -vec_u[0] / 2,
+                    (4, 0): -vec_u[1],
+                    (3, 2): -beta,
+                    (5, 0): -Fraction(5, 2) * alpha,
+                },
+            ),
+            (
+                "w15 - [w22/2, w04].(2*y13 - 3*delta*y03 - 2*gamma*y21) - gamma*w23 - (5/2)*delta*w05",
+                {
+                    (1, 5): 1,
+                    (2, 2): -vec_v[0] / 2,
+                    (0, 4): -vec_v[1],
+                    (2, 3): -gamma,
+                    (0, 5): -Fraction(5, 2) * delta,
+                },
+            ),
+        ],
     ]
 
 
-def _case_r(k: int, index: int) -> int:
-    # k=1: cases a,b,c sit at r = 0,1,2; k=2: cases a..f sit at r = 3..8.
-    return index if k == 1 else 3 + index
+def case_bands(k: int) -> List[Tuple[str, int, Optional[Fraction]]]:
+    """(case, weight r, p_sup) for each case of the order-k cascade, in order.
+
+    Case i sits at r = i for k = 1 and at r = 3 + i for k = 2, up to
+    r = 3l - 1, whose band is unbounded; p_sup is the top of Pi(r, l).
+    """
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2")
+    ell, first = (1, 0) if k == 1 else (3, 3)
+    return [
+        (chr(ord("a") + r - first), r, p_range(r, ell)[1]) for r in range(first, 3 * ell)
+    ]
+
+
+def cascade(
+    record: DMapRecord, k: int
+) -> List[Tuple[str, int, Optional[Fraction], List[Condition]]]:
+    """The paper's cascade of order k: (case, r, p_sup, conditions) in order.
+
+    Each condition is a labelled linear form that must vanish; the forms act
+    on the raw field z for k = 1 and on the reduced field w for k = 2.
+    """
+    conditions = _k1_conditions() if k == 1 else _k2_conditions(record)
+    return [
+        band + (conds,) for band, conds in zip(case_bands(k), conditions, strict=True)
+    ]
 
 
 def _cross_check(case: str, r: int, cascade_zero: bool, leading_zero: bool) -> None:
@@ -282,37 +310,35 @@ def classify(record: DMapRecord, z: Poly2, k: int) -> RegularityReport:
     if z.dim != 1:
         raise ValueError("the field must be a scalar polynomial")
     if k == 1:
-        cases = _k1_cases(z)
+        field = z
         P = quotient_first(record, z).P
     else:
-        w = reduce_field(record, z)
-        cases = _k2_cases(record, w)
-        P = _truncated_second_quotient(record, w, MAX_CASE_WEIGHT)
+        field = reduce_field(record, z)
+        P = _truncated_second_quotient(record, field, MAX_CASE_WEIGHT)
 
     # Case a of the first-order cascade is unconditional, so k=1 never stays
     # here; for k=2 the empty band [1, 1) is a real outcome.
     case_label = "none"
     p_sup: Optional[Fraction] = Fraction(1)
     failed: Tuple[str, ...] = ()
-    for index, (case, conditions, sup) in enumerate(cases):
-        r = _case_r(k, index)
-        cascade_zero = all(residual == 0 for _, residual in conditions)
+    for case, r, sup, conditions in cascade(record, k):
+        residuals = [(label, evaluate_form(form, field)) for label, form in conditions]
+        cascade_zero = all(residual == 0 for _, residual in residuals)
         leading_zero = leading_part(P, r).is_zero
         _cross_check(case, r, cascade_zero, leading_zero)
         if not cascade_zero:
             failed = tuple(
-                f"{name} = 0 (residual {residual})"
-                for name, residual in conditions
+                f"{label} = 0 (residual {residual})"
+                for label, residual in residuals
                 if residual != 0
             )
             break
         case_label = case
         p_sup = sup
-    terminal = "c" if k == 1 else "f"
     return RegularityReport(
         k=k,
         case_label=case_label,
         p_sup=p_sup,
         failed_conditions=failed,
-        conjectured_bounded=(case_label == terminal),
+        conjectured_bounded=(p_sup is None),
     )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dmapreg import cli
+from dmapreg import cli, sobolev
 
 CANONICAL = [[2, 0, 1, 0], [0, 2, 0, 1], [1, 2, 1, 0], [2, 1, 0, 1]]
 NEGATIVE_BETA = [[2, 0, 1, 0], [1, 2, 1, 0], [0, 2, 0, 1], [2, 1, 0, -1]]
@@ -177,6 +177,29 @@ def test_standardize_affine_wrap(tmp_path, capsys):
     assert record["T"] == [["1", "-1"], ["0", "1"]]
     assert record["params"] == {"alpha": "0", "beta": "1", "gamma": "1", "delta": "0"}
     assert record["positivity_certified"] is True
+
+
+def test_verify_builds_each_quotient_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = sobolev.quotient_second
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sobolev, "quotient_second", counting)
+    job = {
+        "command": "verify",
+        "geometry": CANONICAL,
+        "field": [[3, 0, 1], [2, 2, 1]],
+        "k": 2,
+        "p": 2,
+        "j_max": 6,
+    }
+    code, payload = run(tmp_path, capsys, job)
+    assert code == 0
+    assert "probe" in payload["classifications"][0]
+    assert len(calls) == 1
 
 
 def test_verify_probe_agrees(tmp_path, capsys):

@@ -19,6 +19,7 @@ from dmapreg import (
     classify,
     constraints_for,
 )
+from dmapreg import constraints
 from dmapreg.constraints import _rref
 from conftest import random_standard_dmap
 
@@ -165,6 +166,15 @@ def test_k2_basis_reclassifies_at_or_past_target(canonical):
                 assert report.p_sup is None
             else:
                 assert report.p_sup is None or report.p_sup >= sup
+
+
+def test_admissible_basis_reuses_the_reduction(canonical, monkeypatch):
+    calls = []
+    original = constraints._rref
+    monkeypatch.setattr(constraints, "_rref", lambda rows: calls.append(rows) or original(rows))
+    system = constraints_for(canonical, 2, 2, CoefficientSpace(3, 3))
+    admissible_basis(system)
+    assert len(calls) == 1
 
 
 def test_membership_violation_reported():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dmapreg import dmap
 from dmapreg import (
     Poly2,
     U,
@@ -125,12 +126,13 @@ def test_non_dmap_inputs_rejected():
         validate(Poly2.zero(dim=2))
 
 
-def test_sampling_tier_when_certification_budget_tiny():
+def test_sampling_tier_when_certification_budget_tiny(monkeypatch):
     record = canonical_dmap()
-    report = validate(record.x, max_boxes=1)
+    monkeypatch.setattr(dmap, "MAX_BOXES", 1)
+    report = validate(record.x)
     assert report.accepted
     assert report.jacobian_positive == "sampled_only"
-    rec = standardize(record.x, max_boxes=1)
+    rec = standardize(record.x)
     assert not rec.positivity_certified
 
 

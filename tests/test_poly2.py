@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from dmapreg import Poly2, U, V, adjugate2, det2, kron2, mat2, vec2
-from dmapreg.poly2 import row_times_grid, row_times_mat2
+from dmapreg import Poly2, U, V, adjugate2, det2, mat2, vec2
+from dmapreg.poly2 import row_times_mat2
 
 
 def test_monomial_and_constant_basics():
@@ -143,37 +143,6 @@ def test_matrix_det_adjugate_identity():
                 for t in range(2):
                     acc = acc + adj[(i, t)] * m[(t, j)]
                 assert acc == (d if i == j else Poly2.zero())
-
-
-def test_kron_vectorisation_identity():
-    rng = random.Random(303)
-
-    def rand_poly():
-        return Poly2(
-            1,
-            {
-                (rng.randint(0, 2), rng.randint(0, 2)): (Fraction(rng.randint(-3, 3)),)
-                for _ in range(3)
-            },
-        )
-
-    for _ in range(5):
-        A = mat2(rand_poly(), rand_poly(), rand_poly(), rand_poly())
-        B = mat2(rand_poly(), rand_poly(), rand_poly(), rand_poly())
-        Q = [rand_poly() for _ in range(4)]  # row-major 2x2: [Q11, Q12, Q21, Q22]
-        grid = kron2(A, B)
-        via_kron = row_times_grid(tuple(Q), grid)
-        # Direct A^T Q B with Q as a matrix.
-        QM = [[Q[0], Q[1]], [Q[2], Q[3]]]
-        direct = []
-        for kk in range(2):
-            for ll in range(2):
-                acc = Poly2.zero()
-                for i in range(2):
-                    for j in range(2):
-                        acc = acc + A[(i, kk)] * QM[i][j] * B[(j, ll)]
-                direct.append(acc)
-        assert list(via_kron) == direct
 
 
 def test_row_times_mat2():
