@@ -5,10 +5,12 @@ the top level may also be an array of such jobs (processed in order, results
 collected into an array).  Polynomials are written as arrays of term rows
 ``[j, k, coeff...]`` with non-negative integer exponents and rational
 coefficients given as integers or strings like ``"-3/4"``; floating point
-coefficient literals are rejected so every job is exact.
+coefficient literals are rejected so every job is exact.  Each job is parsed
+whole, and checked against the size cap ``MAX_DEGREE``, before any work.
 
 Exit codes: 0 success, 2 geometry validation rejected, 3 internal
-inconsistency or verification failure, 4 input/output or parse errors.
+inconsistency or verification failure, 4 input/output or parse errors or a
+job over a size cap.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .constraints import (
@@ -46,11 +50,7 @@ from .sobolev import (
 )
 from .verify import (
     CONVERGENT,
-    DIVERGENT_LOG,
-    DIVERGENT_POWER,
     INCONCLUSIVE,
-    DivergenceDiagnostic,
-    GradientLimitReport,
     QuadratureError,
     agreement_probes,
     gradient_limit_check,
@@ -63,50 +63,37 @@ EXIT_REJECTED = 2
 EXIT_INCONSISTENT = 3
 EXIT_BAD_INPUT = 4
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+#: Size cap: the largest exponent of a geometry or field term and the largest
+#: degree of a coefficient space.  Validating a map of degree 24 takes a few
+#: seconds, and the cost grows steeply beyond it.
+MAX_DEGREE = 24
 
-_COMMANDS = ("validate", "standardize", "classify", "constrain", "verify", "demo")
+#: An integer or a fraction with a non-zero denominator, such as "-3/4".
+_RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
 
-_COMMON_KEYS = {"command"}
-_ALLOWED_KEYS = {
-    "validate": _COMMON_KEYS | {"geometry", "trust_jacobian"},
-    "standardize": _COMMON_KEYS | {"geometry", "trust_jacobian"},
-    "classify": _COMMON_KEYS | {"geometry", "field", "k", "trust_jacobian", "verify", "j_max"},
-    "constrain": _COMMON_KEYS | {"geometry", "k", "p", "space", "trust_jacobian"},
-    "verify": _COMMON_KEYS | {"geometry", "field", "k", "p", "j_max", "trust_jacobian"},
-    "demo": _COMMON_KEYS,
-}
+Result = Tuple[Dict[str, Any], int]
 
 
-class JobError(Exception):
-    """A job that cannot be executed; carries the process exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+class JobError(ValueError):
+    """A job, input or output that cannot be handled (exit code 4)."""
 
 
-# -- input parsing -----------------------------------------------------------
+# -- the job model -----------------------------------------------------------
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise JobError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
-    if isinstance(value, float):
-        raise JobError(
-            f"{where}: floating point literals are not accepted; "
-            "write rationals as strings like \"3/4\""
-        )
-    if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
-            raise JobError(f"{where}: {value!r} is not a rational like \"-3/4\"")
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise JobError(f"{where}: zero denominator in {value!r}") from None
-    raise JobError(f"{where}: expected a rational, got {type(value).__name__}")
+    if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
+        return Fraction(value.strip())
+    raise JobError(
+        f"{where}: expected an integer or a rational string like \"-3/4\", got {value!r} "
+        "(floating point literals are not accepted)"
+    )
 
 
 def _parse_poly(data: Any, where: str, dim: int) -> Poly2:
@@ -118,91 +105,95 @@ def _parse_poly(data: Any, where: str, dim: int) -> Poly2:
         if not isinstance(row, list) or len(row) != 2 + dim:
             raise JobError(f"{label}: expected [j, k, {dim} coefficient(s)]")
         j, k = row[0], row[1]
-        if isinstance(j, bool) or isinstance(k, bool):
-            raise JobError(f"{label}: exponents must be integers")
-        if not isinstance(j, int) or not isinstance(k, int):
-            raise JobError(f"{label}: exponents must be integers")
-        if j < 0 or k < 0:
-            raise JobError(f"{label}: exponents must be non-negative")
+        if not all(_is_int(e) and 0 <= e <= MAX_DEGREE for e in (j, k)):
+            raise JobError(f"{label}: exponents must be integers from 0 to MAX_DEGREE = {MAX_DEGREE}")
         if (j, k) in terms:
             raise JobError(f"{label}: duplicate term for exponent ({j}, {k})")
-        coeffs = tuple(
-            _parse_rational(row[2 + i], f"{label} coefficient {i}") for i in range(dim)
+        terms[(j, k)] = tuple(
+            _parse_rational(c, f"{label} coefficient {i}") for i, c in enumerate(row[2:])
         )
-        terms[(j, k)] = coeffs
     return Poly2(dim=dim, terms=terms)
 
 
 def _parse_space(data: Any, where: str) -> CoefficientSpace:
-    if (
-        not isinstance(data, list)
-        or len(data) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in data)
-    ):
-        raise JobError(f"{where}: expected [max_deg_u, max_deg_v] integers")
-    if data[0] < 0 or data[1] < 0:
-        raise JobError(f"{where}: degrees must be non-negative")
+    if not isinstance(data, list) or len(data) != 2:
+        raise JobError(f"{where}: expected [max_deg_u, max_deg_v]")
+    if not all(_is_int(d) and 0 <= d <= MAX_DEGREE for d in data):
+        raise JobError(f"{where}: degrees must be integers from 0 to MAX_DEGREE = {MAX_DEGREE}")
     return CoefficientSpace(data[0], data[1])
 
 
-def _parse_k(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value not in (1, 2):
-        raise JobError(f"{where}: k must be 1 or 2")
+def _bounded(value: Any, where: str, low: int, high: int) -> int:
+    if not (_is_int(value) and low <= value <= high):
+        raise JobError(f"{where}: must be an integer from {low} to {high}")
     return value
 
 
-def _parse_j_max(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not 4 <= value <= 24:
-        raise JobError(f"{where}: j_max must be an integer between 4 and 24")
-    return value
+def _parse_p(value: Any, where: str) -> Fraction:
+    p = _parse_rational(value, where)
+    if p < 1:
+        raise JobError(f"{where}: must be at least 1")
+    return p
+
+
+#: The parser of each job field.
+_PARSERS = {
+    "geometry": lambda value, where: _parse_poly(value, where, dim=2),
+    "field": lambda value, where: _parse_poly(value, where, dim=1),
+    "k": lambda value, where: _bounded(value, where, 1, 2),
+    "p": _parse_p,
+    "space": _parse_space,
+    "j_max": lambda value, where: _bounded(value, where, 4, 24),
+    "verify": lambda value, where: bool(value),
+    "trust_jacobian": lambda value, where: bool(value),
+}
+
+
+@dataclass(frozen=True)
+class Job:
+    """A parsed job: the command, and a value for every field."""
+
+    command: str
+    geometry: Optional[Poly2]
+    field: Optional[Poly2]
+    k: Optional[int]
+    p: Optional[Fraction]
+    space: CoefficientSpace
+    j_max: int
+    verify: bool
+    trust_jacobian: bool
 
 
 # -- output formatting -------------------------------------------------------
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _fmt_float(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def _poly_rows(poly: Poly2) -> List[List[Any]]:
-    rows: List[List[Any]] = []
-    for (j, k), coeffs in poly.sorted_terms():
-        rows.append([j, k] + [_fmt_fraction(c) for c in coeffs])
-    return rows
+def _json(value: Any) -> Any:
+    """Plain JSON values: Fractions as exact strings, floats to 12 significant
+    digits, polynomials as sorted term rows, tuples as lists."""
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if isinstance(value, Poly2):
+        return [[j, k, *map(str, coeffs)] for (j, k), coeffs in value.sorted_terms()]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    return value
 
 
 def _report_dict(report: ValidationReport) -> Dict[str, Any]:
-    witness = report.failure_witness
-    return {
-        "accepted": report.accepted,
-        "degeneracy_ok": report.degeneracy_ok,
-        "rank_20_21_ok": report.rank_20_21_ok,
-        "rank_02_12_ok": report.rank_02_12_ok,
-        "rank_20_02_ok": report.rank_20_02_ok,
-        "jacobian_positive": report.jacobian_positive,
-        "failure_witness": None
-        if witness is None
-        else [_fmt_fraction(witness[0]), _fmt_fraction(witness[1])],
-    }
+    return {"accepted": report.accepted, **asdict(report)}
 
 
 def _record_dict(record: DMapRecord) -> Dict[str, Any]:
-    alpha, beta, gamma, delta = record.params
     return {
-        "x00": [_fmt_fraction(c) for c in record.x00],
-        "T": [[_fmt_fraction(entry) for entry in row] for row in record.T],
-        "params": {
-            "alpha": _fmt_fraction(alpha),
-            "beta": _fmt_fraction(beta),
-            "gamma": _fmt_fraction(gamma),
-            "delta": _fmt_fraction(delta),
-        },
-        "y": _poly_rows(record.y),
-        "mu": _poly_rows(record.mu),
+        "x00": record.x00,
+        "T": record.T,
+        "params": dict(zip(("alpha", "beta", "gamma", "delta"), record.params)),
+        "y": record.y,
+        "mu": record.mu,
         "positivity_certified": record.positivity_certified,
     }
 
@@ -211,300 +202,195 @@ def _classification_dict(report: RegularityReport) -> Dict[str, Any]:
     return {
         "k": report.k,
         "case": report.case_label,
-        "p_sup": None if report.p_sup is None else _fmt_fraction(report.p_sup),
+        "p_sup": report.p_sup,
         "p_interval": report.p_interval,
-        "failed_conditions": list(report.failed_conditions),
+        "failed_conditions": report.failed_conditions,
         "conjectured_bounded": report.conjectured_bounded,
     }
 
 
-def _diagnostic_dict(diag: DivergenceDiagnostic) -> Dict[str, Any]:
-    return {
-        "epsilons": [_fmt_float(e) for e in diag.epsilons],
-        "values": [_fmt_float(v) for v in diag.values],
-        "verdict": diag.verdict,
-        "rate_estimate": _fmt_float(diag.rate_estimate),
-    }
-
-
 def _system_dict(system: ConstraintSystem, with_basis: bool = True) -> Dict[str, Any]:
-    indices = list(system.space.indices())
-    rows = []
-    for label, row in zip(system.labels, system.rows):
-        sparse = {
-            f"{j},{k}": _fmt_fraction(value)
-            for (j, k), value in zip(indices, row)
-            if value != 0
-        }
-        rows.append({"label": label, "coefficients": sparse})
+    indices = system.space.indices()
+    rows = [
+        {"label": label, "coefficients": {f"{j},{k}": c for (j, k), c in zip(indices, row) if c}}
+        for label, row in zip(system.labels, system.rows)
+    ]
     result = {
-        "space": {"max_deg_u": system.space.max_deg_u, "max_deg_v": system.space.max_deg_v},
+        "space": asdict(system.space),
         "rows": rows,
         "rank": system.rank,
         "admissible_dimension": system.admissible_dimension,
     }
     if with_basis:
-        result["basis"] = [_poly_rows(poly) for poly in admissible_basis(system)]
+        result["basis"] = admissible_basis(system)
     return result
-
-
-def _gradient_dict(report: GradientLimitReport) -> Dict[str, Any]:
-    return {
-        "limit": [_fmt_fraction(report.limit[0]), _fmt_fraction(report.limit[1])],
-        "observed": [
-            {"lambda": _fmt_fraction(lam), "gradient": [_fmt_float(g) for g in grad]}
-            for lam, grad in report.observed
-        ],
-        "max_deviation": _fmt_float(report.max_deviation),
-    }
 
 
 # -- command execution -------------------------------------------------------
 
 
-def _job_geometry(job: Dict[str, Any]) -> Poly2:
-    if "geometry" not in job:
-        raise JobError("job is missing the \"geometry\" field")
-    return _parse_poly(job["geometry"], "geometry", dim=2)
+def _record(job: Job) -> DMapRecord:
+    return standardize(job.geometry, trust_jacobian=job.trust_jacobian)
 
 
-def _job_field(job: Dict[str, Any]) -> Poly2:
-    if "field" not in job:
-        raise JobError("job is missing the \"field\" field")
-    return _parse_poly(job["field"], "field", dim=1)
-
-
-def _job_record(job: Dict[str, Any], trust_jacobian: bool) -> DMapRecord:
-    x = _job_geometry(job)
-    trust = bool(job.get("trust_jacobian", trust_jacobian))
-    try:
-        return standardize(x, trust_jacobian=trust)
-    except ValidationError as exc:
-        raise JobError(
-            "geometry rejected: " + exc.report.summary(), EXIT_REJECTED
-        ) from exc
-
-
-def _verify_block(
-    record: DMapRecord, quotient: QuotientData, report: RegularityReport, j_max: int
-) -> Dict[str, Any]:
-    p_in, p_out = agreement_probes(report)
-    block: Dict[str, Any] = {}
-    consistent = True
-    if p_in is not None:
-        diag = truncated_norm(record, quotient.P, quotient.ell, p_in, j_max=j_max)
-        block["p_inside"] = _fmt_fraction(p_in)
-        block["inside"] = _diagnostic_dict(diag)
-        consistent = consistent and diag.verdict == CONVERGENT
-    if p_out is not None:
-        diag = truncated_norm(record, quotient.P, quotient.ell, p_out, j_max=j_max)
-        block["p_outside"] = _fmt_fraction(p_out)
-        block["outside"] = _diagnostic_dict(diag)
-        consistent = consistent and diag.verdict in (DIVERGENT_LOG, DIVERGENT_POWER)
-    block["consistent"] = consistent
-    return block
-
-
-def _run_validate(job: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
-    x = _job_geometry(job)
-    trust = bool(job.get("trust_jacobian", args.trust_jacobian))
-    report = validate(x, trust_jacobian=trust)
+def _run_validate(job: Job) -> Result:
+    report = validate(job.geometry, trust_jacobian=job.trust_jacobian)
     result = {"command": "validate", "report": _report_dict(report)}
-    if not report.accepted:
-        raise JobReject(result)
-    return result
+    return result, EXIT_OK if report.accepted else EXIT_REJECTED
 
 
-class JobReject(Exception):
-    """A validate command whose geometry was rejected (exit code 2)."""
-
-    def __init__(self, result: Dict[str, Any]):
-        super().__init__("geometry rejected")
-        self.result = result
+def _run_standardize(job: Job) -> Result:
+    return {"command": "standardize", "record": _record_dict(_record(job))}, EXIT_OK
 
 
-def _run_standardize(job: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
-    record = _job_record(job, args.trust_jacobian)
-    return {"command": "standardize", "record": _record_dict(record)}
+def _run_classify(job: Job) -> Result:
+    """classify, and verify: classify with the oracle block always on, plus
+    the optional p probe.  The oracle's quotient also serves the cascade's
+    leading-part cross-check, so each quotient is built once per order."""
+    record = _record(job)
 
+    def probe(q: QuotientData, report: RegularityReport, p: Fraction) -> Dict[str, Any]:
+        """The oracle at p beside the classification's verdict on p; they agree
+        when both say member or both say not (inconclusive never agrees)."""
+        diag = truncated_norm(record, q.P, q.ell, p, j_max=job.j_max)
+        member = report.contains(p)
+        agree = diag.verdict != INCONCLUSIVE and (diag.verdict == CONVERGENT) == member
+        return {"p": p, "classified_member": member, "oracle": asdict(diag), "agree": agree}
 
-def _run_classify(job: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
-    record = _job_record(job, args.trust_jacobian)
-    z = _job_field(job)
-    ks = [_parse_k(job["k"], "k")] if "k" in job else [1, 2]
-    do_verify = bool(job.get("verify", args.verify))
-    j_max = _parse_j_max(job["j_max"], "j_max") if "j_max" in job else args.j_max
-    classifications = []
-    for k in ks:
-        report = classify(record, z, k)
-        entry = _classification_dict(report)
-        if do_verify:
-            entry["verify"] = _verify_block(record, quotient(record, z, k), report, j_max)
-        classifications.append(entry)
-    return {"command": "classify", "classifications": classifications}
-
-
-def _run_constrain(job: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
-    record = _job_record(job, args.trust_jacobian)
-    if "k" not in job:
-        raise JobError("constrain requires the \"k\" field")
-    if "p" not in job:
-        raise JobError("constrain requires the \"p\" field")
-    k = _parse_k(job["k"], "k")
-    p = _parse_rational(job["p"], "p")
-    if "space" in job:
-        space = _parse_space(job["space"], "space")
-    elif args.space is not None:
-        space = args.space
-    else:
-        space = CoefficientSpace(3, 3)
-    try:
-        system = constraints_for(record, k, p, space)
-    except ValueError as exc:
-        raise JobError(f"constrain: {exc}") from exc
-    return {"command": "constrain", "k": k, "p": _fmt_fraction(p), "system": _system_dict(system)}
-
-
-def _run_verify(job: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
-    record = _job_record(job, args.trust_jacobian)
-    z = _job_field(job)
-    ks = [_parse_k(job["k"], "k")] if "k" in job else [1, 2]
-    j_max = _parse_j_max(job["j_max"], "j_max") if "j_max" in job else args.j_max
     entries = []
-    for k in ks:
-        report = classify(record, z, k)
+    for k in (job.k,) if job.k else (1, 2):
+        q = quotient(record, job.field, k) if job.verify or job.command == "verify" else None
+        report = classify(record, job.field, k, q)
         entry = _classification_dict(report)
-        q = quotient(record, z, k)
-        entry["verify"] = _verify_block(record, q, report, j_max)
-        if "p" in job:
-            p = _parse_rational(job["p"], "p")
-            if p < 1:
-                raise JobError("p: must be at least 1")
-            diag = truncated_norm(record, q.P, q.ell, p, j_max=j_max)
-            expected = report.contains(p)
-            agree = (
-                False
-                if diag.verdict == INCONCLUSIVE
-                else (diag.verdict == CONVERGENT) == expected
-            )
-            entry["probe"] = {
-                "p": _fmt_fraction(p),
-                "classified_member": expected,
-                "oracle": _diagnostic_dict(diag),
-                "agree": agree,
-            }
+        if q is not None:
+            # One probe just inside the band and one just outside it.
+            block, consistent = {}, True
+            for side, p in zip(("inside", "outside"), agreement_probes(report)):
+                if p is not None:
+                    oracle = probe(q, report, p)
+                    block.update({f"p_{side}": p, side: oracle["oracle"]})
+                    consistent = consistent and oracle["agree"]
+            entry["verify"] = {**block, "consistent": consistent}
+        if job.p is not None:
+            entry["probe"] = probe(q, report, job.p)
         entries.append(entry)
-    return {"command": "verify", "classifications": entries}
+    return {"command": job.command, "classifications": entries}, EXIT_OK
 
 
-def _run_demo(job: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
+def _run_constrain(job: Job) -> Result:
+    system = _system_dict(constraints_for(_record(job), job.k, job.p, job.space))
+    return {"command": "constrain", "k": job.k, "p": job.p, "system": system}, EXIT_OK
+
+
+def _run_demo(job: Job) -> Result:
     record = canonical_dmap()
-    steps: List[Dict[str, Any]] = []
-
-    report = validate(record.x)
-    steps.append({"step": "validate reference map", "report": _report_dict(report)})
-    steps.append({"step": "standard form", "record": _record_dict(record)})
-
-    z = Poly2.monomial(2, 0)
-    for k in (1, 2):
-        steps.append(
+    system = constraints_for(record, 2, Fraction(2), CoefficientSpace(3, 3))
+    smooth = Poly2(1, {(2, 0): 2, (0, 2): 3, (1, 2): 2, (2, 1): 3, (3, 0): Fraction(1, 8)})
+    gradient = gradient_limit_check(record, smooth, j_max=job.j_max)
+    gradient_dict = {
+        "limit": gradient.limit,
+        "observed": [{"lambda": lam, "gradient": grad} for lam, grad in gradient.observed],
+        "max_deviation": gradient.max_deviation,
+    }
+    steps = [
+        {"step": "validate reference map", "report": _report_dict(validate(record.x))},
+        {"step": "standard form", "record": _record_dict(record)},
+        *(
             {
                 "step": f"classify z = u^2, order {k}",
-                "classification": _classification_dict(classify(record, z, k)),
+                "classification": _classification_dict(classify(record, Poly2.monomial(2, 0), k)),
             }
-        )
-
-    system = constraints_for(record, 2, Fraction(2), CoefficientSpace(3, 3))
-    steps.append(
+            for k in (1, 2)
+        ),
         {
             "step": "second-order constraints at p = 2, bicubic space",
             "system": _system_dict(system, with_basis=False),
-        }
-    )
-
-    smooth = Poly2.monomial(2, 0, 2) + Poly2.monomial(0, 2, 3) + (
-        Poly2.monomial(1, 2, 2) + Poly2.monomial(2, 1, 3)
-    ) + Poly2.monomial(3, 0, Fraction(1, 8))
-    gradient = gradient_limit_check(record, smooth, j_max=args.j_max)
-    steps.append({"step": "gradient limit along rays", "gradient": _gradient_dict(gradient)})
-
-    value = log_squared_integral()
-    steps.append(
+        },
+        {"step": "gradient limit along rays", "gradient": gradient_dict},
         {
             "step": "endpoint-singular reference integral on (0, 1/2)",
-            "value": _fmt_float(value),
-            "exact": _fmt_float(1.0 / math.log(2.0)),
-        }
-    )
-    return {"command": "demo", "steps": steps}
+            "value": log_squared_integral(),
+            "exact": 1.0 / math.log(2.0),
+        },
+    ]
+    return {"command": "demo", "steps": steps}, EXIT_OK
 
 
-_RUNNERS = {
-    "validate": _run_validate,
-    "standardize": _run_standardize,
-    "classify": _run_classify,
-    "constrain": _run_constrain,
-    "verify": _run_verify,
-    "demo": _run_demo,
+#: Each command: its runner, its required fields and its optional fields,
+#: besides "command".  An optional field that a job leaves out takes the
+#: value of the flag of the same name (--space, --j-max, --verify,
+#: --trust-jacobian); k then means both orders, and p no probe.
+COMMANDS = {
+    "validate": (_run_validate, ("geometry",), ("trust_jacobian",)),
+    "standardize": (_run_standardize, ("geometry",), ("trust_jacobian",)),
+    "classify": (_run_classify, ("geometry", "field"), ("k", "verify", "j_max", "trust_jacobian")),
+    "constrain": (_run_constrain, ("geometry", "k", "p"), ("space", "trust_jacobian")),
+    "verify": (_run_classify, ("geometry", "field"), ("k", "p", "j_max", "trust_jacobian")),
+    "demo": (_run_demo, (), ()),
 }
 
 
-def _run_job(job: Any, args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
-    if not isinstance(job, dict):
+def _parse_job(document: Any, args: argparse.Namespace) -> Job:
+    if not isinstance(document, dict):
         raise JobError("each job must be a JSON object")
-    command = job.get("command")
-    if command not in _COMMANDS:
-        raise JobError(
-            f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}"
-        )
-    unknown = set(job) - _ALLOWED_KEYS[command]
+    command = document.get("command")
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise JobError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
+    _, required, optional = COMMANDS[command]
+    unknown = set(document) - {"command", *required, *optional}
     if unknown:
-        raise JobError(
-            f"unknown field(s) for {command}: {', '.join(sorted(unknown))}"
-        )
-    try:
-        return _RUNNERS[command](job, args), EXIT_OK
-    except JobReject as exc:
-        return exc.result, EXIT_REJECTED
-    except JobError:
-        raise
-    except ValidationError as exc:
-        raise JobError(
-            "geometry rejected: " + exc.report.summary(), EXIT_REJECTED
-        ) from exc
-    except InternalInconsistencyError as exc:
-        raise JobError(str(exc), EXIT_INCONSISTENT) from exc
-    except QuadratureError as exc:
-        raise JobError(f"quadrature failure: {exc}", EXIT_INCONSISTENT) from exc
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise JobError(str(exc)) from exc
+        raise JobError(f"unknown field(s) for {command}: {', '.join(sorted(unknown))}")
+    values = {name: getattr(args, name, None) for name in _PARSERS}
+    for name in required + optional:
+        if name in document:
+            values[name] = _PARSERS[name](document[name], name)
+        elif name in required:
+            raise JobError(f"job is missing the \"{name}\" field")
+    return Job(command=command, **values)
+
+
+def _run_job(document: Any, args: argparse.Namespace) -> Result:
+    job = _parse_job(document, args)
+    return COMMANDS[job.command][0](job)
+
+
+#: The errors a job can end with; any other exception is a bug and propagates.
+_JOB_ERRORS = (
+    ValueError, ZeroDivisionError, OverflowError, InternalInconsistencyError, QuadratureError
+)
+
+
+def _failure(exc: Exception) -> Tuple[str, int]:
+    """The message and exit code of one of the _JOB_ERRORS."""
+    if isinstance(exc, ValidationError):
+        return "geometry rejected: " + exc.report.summary(), EXIT_REJECTED
+    if isinstance(exc, InternalInconsistencyError):
+        return str(exc), EXIT_INCONSISTENT
+    if isinstance(exc, QuadratureError):
+        return f"quadrature failure: {exc}", EXIT_INCONSISTENT
+    return str(exc), EXIT_BAD_INPUT
 
 
 def _load_document(args: argparse.Namespace) -> Any:
     try:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text("utf-8")
     except OSError as exc:
         raise JobError(f"cannot read input: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise JobError(f"invalid JSON: {exc}")
 
 
 def _emit(args: argparse.Namespace, payload: Any) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(_json(payload), indent=2) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
-    else:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise JobError(f"cannot write output: {exc}")
+        return
+    try:
+        Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise JobError(f"cannot write output: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -548,10 +434,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--space",
-        type=str,
-        default=None,
+        default="3x3",
         metavar="JxK",
-        help="default coefficient space for constrain jobs, e.g. 3x3",
+        help="default coefficient space for constrain jobs (default 3x3)",
     )
     parser.add_argument(
         "--demo",
@@ -562,39 +447,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if not 4 <= args.j_max <= 24:
-            raise JobError("--j-max must be between 4 and 24")
-        if args.space is not None:
-            match = re.match(r"^(\d+)x(\d+)$", args.space)
-            if not match:
-                raise JobError("--space must look like 3x3")
-            args.space = CoefficientSpace(int(match.group(1)), int(match.group(2)))
-        if args.demo:
-            document: Any = {"command": "demo"}
-        else:
-            document = _load_document(args)
-        if isinstance(document, list):
-            results = []
-            worst = EXIT_OK
-            for index, job in enumerate(document):
-                try:
-                    result, code = _run_job(job, args)
-                except JobError as exc:
-                    result, code = {"error": str(exc), "exit_code": exc.code}, exc.code
-                result["job"] = index
-                results.append(result)
-                worst = max(worst, code)
-            _emit(args, results)
-            return worst
-        result, code = _run_job(document, args)
-        _emit(args, result)
+        args.j_max = _PARSERS["j_max"](args.j_max, "--j-max")
+        match = re.match(r"^(\d+)x(\d+)$", args.space)
+        if not match:
+            raise JobError("--space must look like 3x3")
+        args.space = _parse_space([int(match.group(1)), int(match.group(2))], "--space")
+        document = {"command": "demo"} if args.demo else _load_document(args)
+        if not isinstance(document, list):
+            result, code = _run_job(document, args)
+            _emit(args, result)
+            return code
+        results, codes = [], [EXIT_OK]
+        for index, job in enumerate(document):
+            try:
+                result, code = _run_job(job, args)
+            except _JOB_ERRORS as exc:
+                message, code = _failure(exc)
+                result = {"error": message, "exit_code": code}
+            results.append({**result, "job": index})
+            codes.append(code)
+        _emit(args, results)
+        return max(codes)
+    except _JOB_ERRORS as exc:
+        message, code = _failure(exc)
+        sys.stderr.write(f"dmapreg: error: {message}\n")
         return code
-    except JobError as exc:
-        sys.stderr.write(f"dmapreg: error: {exc}\n")
-        return exc.code
 
 
 if __name__ == "__main__":

@@ -298,22 +298,29 @@ def _cross_check(case: str, r: int, cascade_zero: bool, leading_zero: bool) -> N
         )
 
 
-def classify(record: DMapRecord, z: Poly2, k: int) -> RegularityReport:
+def classify(
+    record: DMapRecord, z: Poly2, k: int, q: Optional[QuotientData] = None
+) -> RegularityReport:
     """Classify f = z o x^{-1} in W^{k,p}: deepest satisfied case and p band.
 
     The coefficient cascade is evaluated in order and stops at the first
     violated case; each evaluated verdict is cross-validated against the
-    vanishing of the matching leading part of the quotient polynomial.
+    vanishing of the matching leading part of the quotient polynomial.  A
+    caller that already holds ``q = quotient(record, z, k)`` passes it in,
+    and its leading parts are read instead of building them again.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     if z.dim != 1:
         raise ValueError("the field must be a scalar polynomial")
-    if k == 1:
-        field = z
+    if q is not None and q.k != k:
+        raise ValueError(f"an order-{q.k} quotient given for order {k}")
+    field = z if k == 1 else reduce_field(record, z)
+    if q is not None:
+        P = q.P
+    elif k == 1:
         P = quotient_first(record, z).P
     else:
-        field = reduce_field(record, z)
         P = _truncated_second_quotient(record, field, MAX_CASE_WEIGHT)
 
     # Case a of the first-order cascade is unconditional, so k=1 never stays

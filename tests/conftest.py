@@ -13,10 +13,16 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import settings
 
 from dmapreg import DMapRecord, Poly2, standardize, validate
 
 Pair = Tuple[Fraction, Fraction]
+
+# Property tests draw the same examples on every run, and keep no example
+# database between runs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # Exponents allowed to carry random higher-order geometry terms.
 EXTRA_EXPONENTS = [

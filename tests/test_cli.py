@@ -179,15 +179,22 @@ def test_standardize_affine_wrap(tmp_path, capsys):
     assert record["positivity_certified"] is True
 
 
-def test_verify_builds_each_quotient_once(tmp_path, capsys, monkeypatch):
+def count_calls(monkeypatch, name):
+    """Record the calls of sobolev.<name> made from here on."""
     calls = []
-    original = sobolev.quotient_second
+    original = getattr(sobolev, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(sobolev, "quotient_second", counting)
+    monkeypatch.setattr(sobolev, name, counting)
+    return calls
+
+
+def test_verify_builds_each_quotient_once(tmp_path, capsys, monkeypatch):
+    full = count_calls(monkeypatch, "quotient_second")
+    truncated = count_calls(monkeypatch, "_truncated_second_quotient")
     job = {
         "command": "verify",
         "geometry": CANONICAL,
@@ -199,7 +206,27 @@ def test_verify_builds_each_quotient_once(tmp_path, capsys, monkeypatch):
     code, payload = run(tmp_path, capsys, job)
     assert code == 0
     assert "probe" in payload["classifications"][0]
+    # The cascade's cross-check reads the oracle's quotient.
+    assert len(full) == 1
+    assert len(truncated) == 0
+
+
+def test_first_order_verify_builds_its_quotient_once(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "quotient_first")
+    job = {"command": "verify", "geometry": CANONICAL, "field": [[1, 2, 1]], "k": 1, "j_max": 6}
+    code, payload = run(tmp_path, capsys, job)
+    assert code == 0
+    assert payload["classifications"][0]["verify"]["consistent"] is True
     assert len(calls) == 1
+
+
+def test_classify_without_oracle_keeps_the_truncated_quotient(tmp_path, capsys, monkeypatch):
+    full = count_calls(monkeypatch, "quotient_second")
+    truncated = count_calls(monkeypatch, "_truncated_second_quotient")
+    job = {"command": "classify", "geometry": CANONICAL, "field": [[3, 0, 1]], "k": 2}
+    code, _ = run(tmp_path, capsys, job)
+    assert code == 0
+    assert (len(full), len(truncated)) == (0, 1)
 
 
 def test_verify_probe_agrees(tmp_path, capsys):

@@ -14,6 +14,7 @@ from dmapreg import (
     leading_part,
     monomial_in_Lp,
     p_range,
+    quotient,
     quotient_first,
     quotient_second,
     reduce_field,
@@ -104,6 +105,20 @@ def test_truncated_quotient_agrees_with_full():
         full = quotient_second(record, w).P
         trunc = _truncated_second_quotient(record, w, MAX_CASE_WEIGHT)
         assert leading_part(full, MAX_CASE_WEIGHT) == leading_part(trunc, MAX_CASE_WEIGHT)
+
+
+def test_classify_reads_a_given_quotient():
+    rng = random.Random(35)
+    for _ in range(3):
+        record = random_standard_dmap(rng)
+        w = impose_conditions(record, random_reduced_terms(rng), None)
+        z = lift_field(record, w, Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
+        for k in (1, 2):
+            given = classify(record, z, k, quotient(record, z, k))
+            assert given == classify(record, z, k)
+    record = canonical_dmap()
+    with pytest.raises(ValueError):
+        classify(record, U**2, 2, quotient(record, U**2, 1))
 
 
 def test_k1_cascade_levels():
