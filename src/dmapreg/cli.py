@@ -6,7 +6,8 @@ collected into an array).  Polynomials are written as arrays of term rows
 ``[j, k, coeff...]`` with non-negative integer exponents and rational
 coefficients given as integers or strings like ``"-3/4"``; floating point
 coefficient literals are rejected so every job is exact.  Each job is parsed
-whole, and checked against the size cap ``MAX_DEGREE``, before any work.
+whole, and checked against the size caps ``MAX_DEGREE`` and ``MAX_BITS``,
+before any work.
 
 Exit codes: 0 success, 2 geometry validation rejected, 3 internal
 inconsistency or verification failure, 4 input/output or parse errors or a
@@ -68,6 +69,9 @@ EXIT_BAD_INPUT = 4
 #: seconds, and the cost grows steeply beyond it.
 MAX_DEGREE = 24
 
+#: Size cap: the bits of a rational's numerator plus those of its denominator.
+MAX_BITS = 256
+
 #: An integer or a fraction with a non-zero denominator, such as "-3/4".
 _RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
 
@@ -86,14 +90,17 @@ def _is_int(value: Any) -> bool:
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
-        return Fraction(value.strip())
-    raise JobError(
-        f"{where}: expected an integer or a rational string like \"-3/4\", got {value!r} "
-        "(floating point literals are not accepted)"
-    )
+    text = value.strip() if isinstance(value, str) else None
+    if not (_is_int(value) or text is not None and _RATIONAL_RE.match(text)):
+        raise JobError(
+            f"{where}: expected an integer or a rational string like \"-3/4\", got {value!r} "
+            "(floating point literals are not accepted)"
+        )
+    number = Fraction(value if text is None else text)
+    bits = number.numerator.bit_length() + number.denominator.bit_length()
+    if bits > MAX_BITS:
+        raise JobError(f"{where}: {bits} bits, over the cap MAX_BITS = {MAX_BITS}")
+    return number
 
 
 def _parse_poly(data: Any, where: str, dim: int) -> Poly2:

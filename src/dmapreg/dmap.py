@@ -48,10 +48,9 @@ FAILED = "failed"
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-#: Certification budget: dyadic halvings tried for the origin radius, the
-#: subdivision depth and the number of Bernstein boxes per map, and the side
-#: of the sampling grid used when certification gives up.
-ORIGIN_SHRINK_MAX = 16
+#: Certification budget: the subdivision depth and the number of Bernstein
+#: boxes per map, and the side of the sampling grid used when certification
+#: gives up.
 MAX_DEPTH = 10
 MAX_BOXES = 4000
 SAMPLE_N = 48
@@ -205,12 +204,14 @@ def _origin_radius(mu: Poly2, beta: Fraction, gamma: Fraction) -> Optional[Fract
             return None
         exponents.append((abs(coeff), e))
     threshold = min(Fraction(4), 2 * beta, 2 * gamma)
-    for i in range(1, ORIGIN_SHRINK_MAX + 1):
+    # For eps <= 1, C(eps) <= eps * sum|c| as every e >= 1; so eps = 2^-last,
+    # with 2^last > sum|c| / threshold, always qualifies.
+    last = max(1, int(sum(mag for mag, _ in exponents) / threshold).bit_length())
+    for i in range(1, last):
         eps = Fraction(1, 2**i)
-        c_sum = sum((mag * eps**e for mag, e in exponents), _F0)
-        if c_sum < threshold:
+        if sum(mag * eps**e for mag, e in exponents) < threshold:
             return eps
-    return None
+    return Fraction(1, 2**last)
 
 
 def _strip_boxes(inner: Fraction) -> List[Tuple[Fraction, Fraction, Fraction, Fraction]]:

@@ -294,12 +294,3 @@ def adjugate2(matrix: PolyMat2) -> PolyMat2:
     m = matrix.entries
     return mat2(m[1][1], -m[0][1], -m[1][0], m[0][0])
 
-
-def row_times_mat2(row: Sequence[Poly2], matrix: PolyMat2) -> Tuple[Poly2, Poly2]:
-    """(1x2 row) * (2x2 matrix)."""
-    if len(row) != 2:
-        raise ValueError("row must have two entries")
-    return (
-        row[0] * matrix[(0, 0)] + row[1] * matrix[(1, 0)],
-        row[0] * matrix[(0, 1)] + row[1] * matrix[(1, 1)],
-    )

@@ -4,8 +4,10 @@ For a validated map with standard form y and a polynomial field z, the
 composite f = z o x^{-1} has first/second derivatives that are rational
 functions with denominator mu = det Dy.  Membership of f in W^{k,p} reduces
 to integrability of mu^{-l} P against the area weight mu, where P is an
-explicit polynomial "quotient" (l = 1, d = 2 entries for k = 1; l = 3,
-d = 4 entries for k = 2).
+explicit polynomial "quotient": with Gamma = adj Dy, P = Dz Gamma (l = 1)
+for k = 1, and P = Gamma^T Q Gamma (l = 3) for k = 2, where the symmetric
+Q = mu D^2 w - sum_a (Dw Gamma)_a D^2 y_a acts on the reduced field w; so
+P has three distinct entries, P11, P12 = P21 and P22.
 
 The arithmetic backbone is the weight w(m, n) = m + n + min(m, n): the
 monomial u^m v^n / mu^l lies in L^p iff w(m, n) > 3l - 6/p.  Sorting the
@@ -15,17 +17,19 @@ walks the coefficient-condition cascade (cases a, b, c, ... on z or on the
 reduced field w) and cross-validates every step against the corresponding
 Lambda_r P = 0 test on the exactly computed quotient; any disagreement
 raises InternalInconsistencyError, since it would mean the two formulations
-of the same criterion fell out of sync.
+of the same criterion fell out of sync.  The classifier reads P only up to
+MAX_CASE_WEIGHT = 8, so it builds P under that weight bound: each product
+keeps its terms of weight <= 8 only, exactly, as weight is superadditive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dmap import DMapRecord, reduce_field
-from .poly2 import Poly2, row_times_mat2
+from .poly2 import Exponent, Poly2
 
 PLike = Union[int, Fraction]
 
@@ -42,6 +46,28 @@ def weight(m: int, n: int) -> int:
     if m < 0 or n < 0:
         raise ValueError("exponents must be non-negative")
     return m + n + min(m, n)
+
+
+def _dot(pairs: Sequence[Tuple[Poly2, Poly2]], bound: Optional[int]) -> Poly2:
+    """sum a * b over pairs of scalar polynomials, keeping weights <= ``bound``.
+
+    Terms are walked in order of weight, and the walk stops once a pair's
+    weights sum past the bound: weight is superadditive, w(e + e') >= w(e) +
+    w(e'), so no skipped pair reaches a kept term.  None is no bound.
+    """
+    acc: Dict[Exponent, Fraction] = {}
+    for a, b in pairs:
+        left, right = (
+            sorted(((weight(*e), e, c) for e, (c,) in f.terms.items()), key=lambda t: t[0])
+            for f in (a, b)
+        )
+        for wa, (ja, ka), ca in left:
+            for wb, (jb, kb), cb in right:
+                if bound is not None and wa + wb > bound:
+                    break
+                expo = (ja + jb, ka + kb)
+                acc[expo] = acc.get(expo, 0) + ca * cb
+    return Poly2(1, {e: (c,) for e, c in acc.items() if bound is None or weight(*e) <= bound})
 
 
 def monomial_in_Lp(m: int, n: int, ell: int, p: PLike) -> bool:
@@ -77,56 +103,40 @@ class QuotientData:
     ell: int
 
 
+def _times_gamma(
+    record: DMapRecord, row: Sequence[Poly2], l: int, bound: Optional[int]
+) -> Poly2:
+    """Entry l of the row vector ``row`` times Gamma, to weight ``bound``."""
+    g = record.gamma_adj
+    return _dot([(row[0], g[(0, l)]), (row[1], g[(1, l)])], bound)
+
+
 def quotient_first(record: DMapRecord, z: Poly2) -> QuotientData:
     """First-order quotient P = Dz * Gamma (so Dh o y = mu^{-1} P)."""
     if z.dim != 1:
         raise ValueError("the field must be a scalar polynomial")
-    row = row_times_mat2((z.diff(1), z.diff(2)), record.gamma_adj)
-    return QuotientData(k=1, P=Poly2.from_components(list(row)), ell=1)
+    row = [_times_gamma(record, (z.diff(1), z.diff(2)), l, None) for l in range(2)]
+    return QuotientData(k=1, P=Poly2.from_components(row), ell=1)
 
 
-def _second_order_row(
-    record: DMapRecord, w: Poly2, post: Callable[[Poly2], Poly2]
-) -> Tuple[Poly2, ...]:
-    """Components of (mu D^2 w - Dw Gamma D^2 y)(Gamma (x) Gamma).
+def _second_order_row(record: DMapRecord, w: Poly2, bound: Optional[int]) -> Poly2:
+    """The components (11, 12, 21, 22) of P = Gamma^T Q Gamma, to weight ``bound``.
 
-    ``post`` is applied to every intermediate polynomial; it is the identity
-    for the full quotient and a weight cut-off for the classifier, which only
-    needs the low-weight terms (the weight of a product term is at least the
-    sum of the factors' weights, so cutting early is exact for what is kept).
+    Q = mu D^2 w - sum_a (Dw Gamma)_a D^2 y_a and P are symmetric, so only
+    Q11, Q12, Q22 and, through R = Q Gamma, P11, P12, P22 are built.
     """
-    mu = post(record.mu)
-    g = record.gamma_adj
-    gamma_t = [[post(g[(i, j)]) for j in range(2)] for i in range(2)]
-    y1, y2 = record.y.components()
-
-    def second_row(f: Poly2) -> List[Poly2]:
-        return [
-            post(f.diff(1).diff(1)),
-            post(f.diff(1).diff(2)),
-            post(f.diff(2).diff(1)),
-            post(f.diff(2).diff(2)),
-        ]
-
-    d2w = second_row(w)
-    d2y = [second_row(y1), second_row(y2)]
-    dw_gamma = [
-        post(post(w.diff(1)) * gamma_t[0][0] + post(w.diff(2)) * gamma_t[1][0]),
-        post(post(w.diff(1)) * gamma_t[0][1] + post(w.diff(2)) * gamma_t[1][1]),
-    ]
-    q_row = [
-        post(mu * d2w[col] - (dw_gamma[0] * d2y[0][col] + dw_gamma[1] * d2y[1][col]))
-        for col in range(4)
-    ]
-    kron = [
-        [post(gamma_t[i][k] * gamma_t[j][l]) for k in range(2) for l in range(2)]
-        for i in range(2)
-        for j in range(2)
-    ]
-    return tuple(
-        post(sum((q_row[row] * kron[row][col] for row in range(4)), Poly2.zero()))
-        for col in range(4)
+    dw = (w.diff(1), w.diff(2))
+    y = record.y.components()
+    weighted = [(record.mu, w)] + [(-_times_gamma(record, dw, a, bound), y[a]) for a in range(2)]
+    q: List[List[Poly2]] = [[Poly2.zero()] * 2 for _ in range(2)]
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        q[i][j] = q[j][i] = _dot([(c, f.diff(i + 1).diff(j + 1)) for c, f in weighted], bound)
+    r = [[_times_gamma(record, q[i], l, bound) for l in range(2)] for i in range(2)]
+    # P_kl = sum_i Gamma_ik R_il, entry k of the column (R_0l, R_1l) times Gamma.
+    p11, p12, p22 = (
+        _times_gamma(record, (r[0][l], r[1][l]), k, bound) for k, l in ((0, 0), (0, 1), (1, 1))
     )
+    return Poly2.from_components([p11, p12, p12, p22])
 
 
 def quotient_second(record: DMapRecord, w: Poly2) -> QuotientData:
@@ -135,8 +145,7 @@ def quotient_second(record: DMapRecord, w: Poly2) -> QuotientData:
         raise ValueError("the field must be a scalar polynomial")
     if w.coeff(2, 0) != 0 or w.coeff(0, 2) != 0:
         raise ValueError("quotient_second expects a reduced field with w20 = w02 = 0")
-    row = _second_order_row(record, w, post=lambda poly: poly)
-    return QuotientData(k=2, P=Poly2.from_components(list(row)), ell=3)
+    return QuotientData(k=2, P=_second_order_row(record, w, None), ell=3)
 
 
 def quotient(record: DMapRecord, z: Poly2, k: int) -> QuotientData:
@@ -144,12 +153,6 @@ def quotient(record: DMapRecord, z: Poly2, k: int) -> QuotientData:
     if k == 1:
         return quotient_first(record, z)
     return quotient_second(record, reduce_field(record, z))
-
-
-def _truncated_second_quotient(record: DMapRecord, w: Poly2, r_max: int) -> Poly2:
-    cut = lambda poly: poly.filter_terms(lambda j, k: weight(j, k) <= r_max)
-    row = _second_order_row(record, w, post=cut)
-    return Poly2.from_components(list(row))
 
 
 # -- the cascade -------------------------------------------------------------
@@ -289,15 +292,6 @@ def cascade(
     ]
 
 
-def _cross_check(case: str, r: int, cascade_zero: bool, leading_zero: bool) -> None:
-    if cascade_zero != leading_zero:
-        raise InternalInconsistencyError(
-            f"case {case!r}: coefficient cascade says "
-            f"{'satisfied' if cascade_zero else 'violated'} but the leading part "
-            f"Lambda_{r} P is {'zero' if leading_zero else 'nonzero'}"
-        )
-
-
 def classify(
     record: DMapRecord, z: Poly2, k: int, q: Optional[QuotientData] = None
 ) -> RegularityReport:
@@ -321,7 +315,7 @@ def classify(
     elif k == 1:
         P = quotient_first(record, z).P
     else:
-        P = _truncated_second_quotient(record, field, MAX_CASE_WEIGHT)
+        P = _second_order_row(record, field, MAX_CASE_WEIGHT)
 
     # Case a of the first-order cascade is unconditional, so k=1 never stays
     # here; for k=2 the empty band [1, 1) is a real outcome.
@@ -332,7 +326,12 @@ def classify(
         residuals = [(label, evaluate_form(form, field)) for label, form in conditions]
         cascade_zero = all(residual == 0 for _, residual in residuals)
         leading_zero = leading_part(P, r).is_zero
-        _cross_check(case, r, cascade_zero, leading_zero)
+        if cascade_zero != leading_zero:
+            raise InternalInconsistencyError(
+                f"case {case!r}: coefficient cascade says "
+                f"{'satisfied' if cascade_zero else 'violated'} but the leading part "
+                f"Lambda_{r} P is {'zero' if leading_zero else 'nonzero'}"
+            )
         if not cascade_zero:
             failed = tuple(
                 f"{label} = 0 (residual {residual})"

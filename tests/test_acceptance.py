@@ -75,6 +75,7 @@ def test_criterion_1_closed_form_integral(announce):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_monomial_oracle_equivalence(announce):
     start = time.perf_counter()
     p_values = (Fraction(1), Fraction(6, 5), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(6))
@@ -110,6 +111,7 @@ _LEVEL_SETUP = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_3_leading_part_tables(announce):
     rng = random.Random(2026)
     identities = 0
@@ -132,6 +134,7 @@ def test_criterion_3_leading_part_tables(announce):
 _MIXED_LEVEL = {"none": 3, "a": 4, "b": 5, "c": 6, "d": 7, "e": 8, "f": 8}
 
 
+@pytest.mark.slow
 def test_criterion_4_cascade_cross_validation(announce):
     rng = random.Random(803)
     depths = [None, "a", "b", "c", "d", "e"]

@@ -194,7 +194,7 @@ def count_calls(monkeypatch, name):
 
 def test_verify_builds_each_quotient_once(tmp_path, capsys, monkeypatch):
     full = count_calls(monkeypatch, "quotient_second")
-    truncated = count_calls(monkeypatch, "_truncated_second_quotient")
+    rows = count_calls(monkeypatch, "_second_order_row")
     job = {
         "command": "verify",
         "geometry": CANONICAL,
@@ -206,9 +206,9 @@ def test_verify_builds_each_quotient_once(tmp_path, capsys, monkeypatch):
     code, payload = run(tmp_path, capsys, job)
     assert code == 0
     assert "probe" in payload["classifications"][0]
-    # The cascade's cross-check reads the oracle's quotient.
+    # The cascade's cross-check reads the oracle's quotient: one row, unbounded.
     assert len(full) == 1
-    assert len(truncated) == 0
+    assert [args[2] for args in rows] == [None]
 
 
 def test_first_order_verify_builds_its_quotient_once(tmp_path, capsys, monkeypatch):
@@ -222,11 +222,12 @@ def test_first_order_verify_builds_its_quotient_once(tmp_path, capsys, monkeypat
 
 def test_classify_without_oracle_keeps_the_truncated_quotient(tmp_path, capsys, monkeypatch):
     full = count_calls(monkeypatch, "quotient_second")
-    truncated = count_calls(monkeypatch, "_truncated_second_quotient")
+    rows = count_calls(monkeypatch, "_second_order_row")
     job = {"command": "classify", "geometry": CANONICAL, "field": [[3, 0, 1]], "k": 2}
     code, _ = run(tmp_path, capsys, job)
     assert code == 0
-    assert (len(full), len(truncated)) == (0, 1)
+    assert len(full) == 0
+    assert [args[2] for args in rows] == [sobolev.MAX_CASE_WEIGHT]
 
 
 def test_verify_probe_agrees(tmp_path, capsys):

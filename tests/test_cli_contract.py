@@ -26,6 +26,8 @@ WRAPPED = [[0, 0, 1, 2], [2, 0, 1, 0], [1, 2, 1, 0], [0, 2, 1, 1], [2, 1, 1, 1]]
 SINGULAR = [[2, 0, 1, 0], [0, 2, 2, 0], [1, 2, 1, 0], [2, 1, 0, 1]]
 
 CAP = cli.MAX_DEGREE
+#: Rationals just over the bit cap, and one of a thousand digits.
+OVER_BITS = [2**cli.MAX_BITS, "1/" + str(2**cli.MAX_BITS), "3" * 1000 + "/" + "7" * 1003]
 
 
 def run(document):
@@ -69,7 +71,7 @@ VALID = {
     "trust_jacobian": st.booleans(),
 }
 
-BAD_COEFFICIENT = st.sampled_from([0.5, True, None, "1/0", "abc", "1.5", [1]])
+BAD_COEFFICIENT = st.sampled_from([0.5, True, None, "1/0", "abc", "1.5", [1], *OVER_BITS])
 
 
 def broken_rows(width):
@@ -196,6 +198,9 @@ BAD_FIELDS = [
     ("validate", {"geometry": [[2, 0, 1, 0], [0, CAP + 1, 0, 1]]}),
     ("standardize", {"geometry": [[2, 0, 1, 0], [0, 2, 0, 0.5]]}),
     ("verify", {**ORACLE_JOB, "geometry": NEGATIVE_BETA, "p": 0}),
+    ("validate", {"geometry": REFERENCE + [[3, 3, OVER_BITS[2], 1]]}),
+    ("classify", {**ORACLE_JOB, "field": [[1, 1, OVER_BITS[0]]]}),
+    ("verify", {**ORACLE_JOB, "p": OVER_BITS[1]}),
 ]
 
 
@@ -213,3 +218,14 @@ def test_size_cap_is_named():
     code, _, err = run({"command": "verify", **ORACLE_JOB, "field": [[100000, 100000, 1]]})
     assert code == 4
     assert "MAX_DEGREE = 24" in err
+
+
+def test_bit_cap_is_named_and_sharp():
+    # 2^255 - 1 takes 255 bits and its denominator 1 bit: at the cap, not over it.
+    at_cap = 2 ** (cli.MAX_BITS - 1) - 1
+    code, _, _ = run({"command": "validate", "geometry": REFERENCE + [[3, 3, 1, f"1/{at_cap}"]]})
+    assert code == 0
+    for value in OVER_BITS:
+        code, out, err = run({"command": "validate", "geometry": REFERENCE + [[3, 3, 1, value]]})
+        assert (code, out) == (4, "")
+        assert "MAX_BITS = 256" in err

@@ -136,6 +136,25 @@ def test_sampling_tier_when_certification_budget_tiny(monkeypatch):
     assert not rec.positivity_certified
 
 
+def test_small_beta_map_is_certified():
+    # beta = 2^-20 puts the origin radius at 2^-20: the search must go that
+    # deep for the map to be certified instead of sampled.
+    beta = Fraction(1, 2**20)
+    x = Poly2(2, {
+        (2, 0): (1, 0), (0, 2): (0, 1), (2, 1): (0, beta), (1, 2): (1, 0),
+        (1, 3): (Fraction(1, 2), Fraction(-1, 4)), (3, 1): (Fraction(1, 8), 0),
+    })
+    report = validate(x)
+    assert report.accepted and report.jacobian_positive == "certified"
+    record = standardize(x)
+    assert record.params[1] == beta and record.positivity_certified
+    eps = dmap._origin_radius(record.mu, beta, Fraction(1))
+    assert eps == beta
+    for a in range(9):
+        point = (eps * a / 8, eps * (8 - a) / 8)
+        assert record.mu.eval(point) > 0
+
+
 def test_trust_jacobian_skips_certification():
     record = canonical_dmap()
     report = validate(record.x, trust_jacobian=True)

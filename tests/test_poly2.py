@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from dmapreg import Poly2, U, V, adjugate2, det2, mat2, vec2
-from dmapreg.poly2 import row_times_mat2
 
 
 def test_monomial_and_constant_basics():
@@ -144,10 +143,3 @@ def test_matrix_det_adjugate_identity():
                     acc = acc + adj[(i, t)] * m[(t, j)]
                 assert acc == (d if i == j else Poly2.zero())
 
-
-def test_row_times_mat2():
-    m = mat2(U, V, Poly2.constant(1), U * V)
-    row = (U, V)
-    out = row_times_mat2(row, m)
-    assert out[0] == U * U + V  # u*u + v*1
-    assert out[1] == U * V + V * (U * V)

@@ -20,8 +20,9 @@ from dmapreg import (
     reduce_field,
     weight,
 )
-from dmapreg.sobolev import MAX_CASE_WEIGHT, _truncated_second_quotient
+from dmapreg.sobolev import MAX_CASE_WEIGHT, _dot, _second_order_row
 from conftest import (
+    expected_table,
     impose_conditions,
     lift_field,
     random_reduced_terms,
@@ -86,25 +87,89 @@ def test_second_quotient_requires_reduced_field():
         quotient_second(record, Poly2.monomial(2, 0))
 
 
-def test_second_quotient_mixed_components_coincide():
-    rng = random.Random(31)
-    for _ in range(5):
+def _chain_rule(y, z, point):
+    """Dh and D^2h of h = z o y^{-1} at y(point), as exact Fractions.
+
+    Dh = Dz Dy^{-1} and D^2h = Dy^{-T} (D^2z - sum_a (Dh)_a D^2y_a) Dy^{-1},
+    from the raw field and the map alone, with Dy inverted pointwise.
+    """
+    comps = y.components()
+
+    def at(f, *vars_):
+        for var in vars_:
+            f = f.diff(var)
+        return f.eval(point)
+
+    dy = [[at(c, i) for i in (1, 2)] for c in comps]
+    det = dy[0][0] * dy[1][1] - dy[0][1] * dy[1][0]
+    inv = [[dy[1][1] / det, -dy[0][1] / det], [-dy[1][0] / det, dy[0][0] / det]]
+    dh = [sum(at(z, i + 1) * inv[i][l] for i in range(2)) for l in range(2)]
+    m = [
+        [at(z, i, j) - sum(dh[a] * at(comps[a], i, j) for a in range(2)) for j in (1, 2)]
+        for i in (1, 2)
+    ]
+    d2h = [
+        sum(inv[i][k] * m[i][j] * inv[j][l] for i in range(2) for j in range(2))
+        for k in range(2)
+        for l in range(2)
+    ]
+    return det, dh, d2h
+
+
+def test_quotients_follow_the_chain_rule():
+    """P1 / mu = Dh and P2 / mu^3 = D^2h, in the order (11, 12, 21, 22).
+
+    The quotients factor the derivatives of h = z o y^{-1} through Gamma =
+    adj Dy; here Dh and D^2h come from inverting Dy at each point instead,
+    with P2 built from the reduced field and D^2h from the raw one.
+    """
+    rng = random.Random(36)
+    for _ in range(8):
         record = random_standard_dmap(rng)
-        w = impose_conditions(record, random_reduced_terms(rng), None)
-        q = quotient_second(record, w)
-        comps = q.P.components()
-        assert comps[1] == comps[2]
-        assert q.ell == 3 and q.k == 2
+        dense = {(j, k): (Fraction(rng.randint(-9, 9), 4),) for j in range(6) for k in range(6)}
+        z = Poly2(1, dense)
+        first = quotient(record, z, 1).P
+        second = quotient(record, z, 2)
+        assert second.ell == 3 and second.k == 2
+        for _ in range(3):
+            point = (Fraction(rng.randint(1, 15), 16), Fraction(rng.randint(1, 15), 16))
+            mu, dh, d2h = _chain_rule(record.y, z, point)
+            assert [c / mu for c in first.eval(point)] == dh
+            assert [c / mu**3 for c in second.P.eval(point)] == d2h
+
+
+def test_weight_bounded_product_keeps_the_light_terms():
+    rng = random.Random(37)
+
+    def sparse():
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            terms[(rng.randint(0, 6), rng.randint(0, 6))] = (coeff,)
+        return Poly2(1, terms)
+
+    for _ in range(20):
+        pairs = [(sparse(), sparse()) for _ in range(rng.randint(1, 3))]
+        full = sum((a * b for a, b in pairs), Poly2.zero())
+        assert _dot(pairs, None) == full
+        for r in range(11):
+            assert _dot(pairs, r) == leading_part(full, r)
 
 
 def test_truncated_quotient_agrees_with_full():
     rng = random.Random(32)
-    for _ in range(3):
+    for case_f in (False, False, False, True):
         record = random_standard_dmap(rng)
-        w = impose_conditions(record, random_reduced_terms(rng), None)
+        w = impose_conditions(record, random_reduced_terms(rng), "e" if case_f else None)
+        if case_f:
+            # Complete w to case f: move w15 and w51 onto the case-f identities.
+            table = expected_table(record, w, 8) * Fraction(1, 16)
+            w += Poly2.monomial(1, 5, table.coeff(0, 8)[0])
+            w += Poly2.monomial(5, 1, table.coeff(8, 0)[3])
         full = quotient_second(record, w).P
-        trunc = _truncated_second_quotient(record, w, MAX_CASE_WEIGHT)
-        assert leading_part(full, MAX_CASE_WEIGHT) == leading_part(trunc, MAX_CASE_WEIGHT)
+        truncated = _second_order_row(record, w, MAX_CASE_WEIGHT)
+        assert truncated == leading_part(full, MAX_CASE_WEIGHT)
+        assert truncated.is_zero == case_f
 
 
 def test_classify_reads_a_given_quotient():
