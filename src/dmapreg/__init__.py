@@ -55,6 +55,7 @@ from .sobolev import (
     InternalInconsistencyError,
     QuotientData,
     RegularityReport,
+    agreement_probes,
     classify,
     leading_part,
     monomial_in_Lp,
@@ -83,7 +84,6 @@ from .verify import (
     GradientLimitReport,
     QuadratureError,
     SubstitutedBounds,
-    agreement_probes,
     gradient_limit_check,
     log_squared_integral,
     monomial_oracle,
@@ -128,6 +128,7 @@ __all__ = [
     "InternalInconsistencyError",
     "QuotientData",
     "RegularityReport",
+    "agreement_probes",
     "classify",
     "weight",
     "monomial_in_Lp",
@@ -159,5 +160,4 @@ __all__ = [
     "substituted_norm",
     "gradient_limit_check",
     "log_squared_integral",
-    "agreement_probes",
 ]

@@ -10,8 +10,8 @@ whole, and checked against the size caps ``MAX_DEGREE`` and ``MAX_BITS``,
 before any work.
 
 Exit codes: 0 success, 2 geometry validation rejected, 3 internal
-inconsistency or verification failure, 4 input/output or parse errors or a
-job over a size cap.
+inconsistency, or mu <= 0 or overflow at a quadrature node, 4 input/output
+or parse errors or a job over a size cap.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .sobolev import (
     InternalInconsistencyError,
     QuotientData,
     RegularityReport,
+    agreement_probes,
     classify,
     quotient,
 )
@@ -53,7 +54,6 @@ from .verify import (
     CONVERGENT,
     INCONCLUSIVE,
     QuadratureError,
-    agreement_probes,
     gradient_limit_check,
     log_squared_integral,
     truncated_norm,
@@ -71,6 +71,9 @@ MAX_DEGREE = 24
 
 #: Size cap: the bits of a rational's numerator plus those of its denominator.
 MAX_BITS = 256
+#: The most significant digits a written numerator or denominator may have:
+#: those of 2^MAX_BITS, checked before conversion.
+_MAX_DIGITS = len(str(2**MAX_BITS))
 
 #: An integer or a fraction with a non-zero denominator, such as "-3/4".
 _RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
@@ -96,7 +99,14 @@ def _parse_rational(value: Any, where: str) -> Fraction:
             f"{where}: expected an integer or a rational string like \"-3/4\", got {value!r} "
             "(floating point literals are not accepted)"
         )
-    number = Fraction(value if text is None else text)
+    if text is not None:
+        _, sign, body = text.rpartition("-")
+        parts = [part.lstrip("0") or "0" for part in body.split("/")]
+        digits = max(map(len, parts))
+        if digits > _MAX_DIGITS:
+            raise JobError(f"{where}: {digits} digits, over the cap MAX_BITS = {MAX_BITS}")
+        value = sign + "/".join(parts)
+    number = Fraction(value)
     bits = number.numerator.bit_length() + number.denominator.bit_length()
     if bits > MAX_BITS:
         raise JobError(f"{where}: {bits} bits, over the cap MAX_BITS = {MAX_BITS}")

@@ -192,6 +192,21 @@ class RegularityReport:
         return f"[1, {self.p_sup})"
 
 
+
+def agreement_probes(report: RegularityReport) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    """(p inside, p outside) probes for checking a classification by oracle.
+
+    Probes sit far enough from the band edge that the increment decay/growth
+    rates (at least one log2 unit per level inside, half a unit outside)
+    clear the verdict thresholds for every reachable band.
+    """
+    sup = report.p_sup
+    if sup is None:
+        return Fraction(6), None
+    if sup == 1:
+        return None, Fraction(3, 2)
+    return max(Fraction(1), sup - 1), sup + Fraction(1, 2)
+
 #: A linear form on the coefficients of a field: {(j, k): coefficient}.
 Form = Dict[Tuple[int, int], Fraction]
 Condition = Tuple[str, Form]

@@ -13,24 +13,26 @@ panels - no catastrophic cancellation between levels.
 
 The slope of log2(increment) per level j is fitted over the last six levels;
 thresholds: slope < -0.5 -> convergent, |slope| <= 0.1 -> divergent_log,
-slope > 0.1 -> divergent_power, anything else -> inconclusive.
+slope > 0.1 -> divergent_power, anything else -> inconclusive.  An annulus
+that runs out of panels short of its tolerance makes the verdict
+inconclusive too, whatever the slope.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .constraints import c1_residuals
 from .dmap import DMapRecord, canonical_dmap, jacobian
 from .poly2 import Poly2
-from .sobolev import RegularityReport
 
 PLike = Union[int, Fraction]
 
@@ -46,32 +48,18 @@ MAX_J = 24
 
 
 class QuadratureError(RuntimeError):
-    """The adaptive quadrature could not meet its per-annulus tolerance."""
+    """mu <= 0 at a quadrature node, or the integrand overflows there."""
 
 
-# -- fast float evaluation ---------------------------------------------------
+# -- adaptive quadrature -----------------------------------------------------
 
 
-class _FloatPoly:
-    """Dense float coefficient matrix for tensor evaluation on node vectors."""
-
-    def __init__(self, poly: Poly2):
-        rows = poly.max_degree_u + 1
-        cols = poly.max_degree_v + 1
-        self.matrix = np.zeros((rows, cols))
-        for (j, k), (value,) in poly.terms.items():
-            self.matrix[j, k] = float(value)
-
-    def eval_grid(self, u_nodes: np.ndarray, v_nodes: np.ndarray) -> np.ndarray:
-        pu = np.power.outer(u_nodes, np.arange(self.matrix.shape[0]))
-        pv = np.power.outer(v_nodes, np.arange(self.matrix.shape[1]))
-        return pu @ self.matrix @ pv.T
-
-
-@functools.lru_cache(maxsize=4)
-def _gauss_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+@functools.cache
+def _gauss_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of GAUSS_ORDER on [-1, 1].  Built
+    on first use: numpy.polynomial and the rule cost about 2 MB of memory,
+    which a process that never runs the oracle does not pay."""
+    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 class _Integrand:
@@ -79,30 +67,40 @@ class _Integrand:
 
     |P| is the euclidean norm of the components: equivalent to any other
     vector norm (so the divergence verdict is unaffected) and smooth away
-    from common zeros, which keeps Gauss panels spectrally accurate.
+    from common zeros, which keeps Gauss panels spectrally accurate.  Each
+    polynomial is a coefficient matrix M evaluated on the tensor grid as
+    U M V^T, with U and V power tables of the node vectors.
     """
 
     def __init__(self, mu: Poly2, P: Poly2, ell: int, p: float):
-        self.mu = _FloatPoly(mu)
-        self.components = [_FloatPoly(c) for c in P.components()]
+        self.matrices = []
+        for poly in (mu, *P.components()):
+            matrix = np.zeros((poly.max_degree_u + 1, poly.max_degree_v + 1))
+            for (j, k), (value,) in poly.terms.items():
+                matrix[j, k] = float(value)
+            self.matrices.append(matrix)
+        self.shape = tuple(max(m.shape[i] for m in self.matrices) for i in (0, 1))
         self.p = p
         self.mu_exponent = 1.0 - ell * p
 
     def __call__(self, u_nodes: np.ndarray, v_nodes: np.ndarray) -> np.ndarray:
-        mu_vals = self.mu.eval_grid(u_nodes, v_nodes)
+        pu = np.power.outer(u_nodes, np.arange(self.shape[0]))
+        pv = np.power.outer(v_nodes, np.arange(self.shape[1]))
+        mu_vals, *components = (
+            pu[:, : m.shape[0]] @ m @ pv[:, : m.shape[1]].T for m in self.matrices
+        )
         if np.min(mu_vals) <= 0.0:
             raise QuadratureError("Jacobian determinant non-positive at a quadrature node")
-        square_sum = np.square(self.components[0].eval_grid(u_nodes, v_nodes))
-        for comp in self.components[1:]:
-            square_sum += np.square(comp.eval_grid(u_nodes, v_nodes))
+        square_sum = np.square(components[0])
+        for values in components[1:]:
+            square_sum += np.square(values)
         with np.errstate(divide="ignore"):
             log_f = 0.5 * self.p * np.log(square_sum) + self.mu_exponent * np.log(mu_vals)
         with np.errstate(over="raise"):
             try:
-                values = np.exp(log_f)
+                return np.exp(log_f)
             except FloatingPointError as exc:
                 raise QuadratureError("integrand overflow at a quadrature node") from exc
-        return values
 
 
 Rect = Tuple[float, float, float, float]
@@ -110,7 +108,7 @@ Rect = Tuple[float, float, float, float]
 
 def _panel(integrand: _Integrand, rect: Rect) -> float:
     a, b, c, d = rect
-    nodes, weights = _gauss_nodes(GAUSS_ORDER)
+    nodes, weights = _gauss_rule()
     u_nodes = 0.5 * (a + b) + 0.5 * (b - a) * nodes
     v_nodes = 0.5 * (c + d) + 0.5 * (d - c) * nodes
     values = integrand(u_nodes, v_nodes)
@@ -125,58 +123,31 @@ def _split4(rect: Rect) -> Tuple[Rect, ...]:
     return ((a, mu_, c, mv_), (a, mu_, mv_, d), (mu_, b, c, mv_), (mu_, b, mv_, d))
 
 
-def _integrate_region(
-    integrand: _Integrand,
-    rects: Sequence[Rect],
-    rel_tol: float = ANNULUS_REL_TOL,
-    max_panels: int = MAX_PANELS_PER_ANNULUS,
-) -> float:
+def _integrate_region(integrand: _Integrand, rects: Sequence[Rect]) -> Tuple[float, bool]:
     """Adaptive tensor Gauss-Legendre over a union of rectangles.
 
-    Global strategy: each leaf carries the refined estimate (sum of its four
-    children panels) and the coarse-vs-refined discrepancy as error; the
-    worst leaf is split until the summed error meets the relative tolerance.
+    Each leaf is a heap entry (-error, order, rect, fine): fine is the sum of
+    its four quarter panels, error its distance from the whole panel.  The
+    worst leaf (the oldest among equals) is split until the summed error
+    meets ANNULUS_REL_TOL.  Returns the sum over the leaves and whether it
+    met the tolerance within MAX_PANELS_PER_ANNULUS panels.
     """
-    panels_used = 0
-    counter = 0
-    heap: List[Tuple[float, int, Rect, float, Tuple[Rect, ...], Tuple[float, ...]]] = []
-    leaves: Dict[int, Tuple[Rect, float, float]] = {}
-
-    def make_leaf(rect: Rect) -> Tuple[int, float, float]:
-        nonlocal panels_used, counter
-        coarse = _panel(integrand, rect)
-        children = _split4(rect)
-        child_vals = tuple(_panel(integrand, child) for child in children)
-        panels_used += 5
-        fine = math.fsum(child_vals)
-        error = abs(fine - coarse)
-        counter += 1
-        heapq.heappush(heap, (-error, counter, rect, fine, children, child_vals))
-        leaves[counter] = (rect, fine, error)
-        return counter, fine, error
-
-    for rect in rects:
-        make_leaf(rect)
-
+    heap: List[Tuple[float, int, Rect, float]] = []
+    order = 0
+    todo = rects
     while True:
-        total = math.fsum(value for _, value, _ in leaves.values())
-        total_error = math.fsum(err for _, _, err in leaves.values())
-        if total_error <= rel_tol * max(abs(total), 1e-300):
-            break
-        if panels_used >= max_panels:
-            raise QuadratureError(
-                f"needed more than {max_panels} panels for tolerance {rel_tol:g}"
-            )
-        neg_error, leaf_id, rect, fine, children, child_vals = heapq.heappop(heap)
-        if leaf_id not in leaves:
-            continue
-        if -neg_error <= 0.0:
-            break  # nothing left to improve
-        del leaves[leaf_id]
-        for child in children:
-            make_leaf(child)
-    ordered = sorted(leaves.values(), key=lambda item: item[0])
-    return math.fsum(value for _, value, _ in ordered)
+        for rect in todo:
+            coarse = _panel(integrand, rect)
+            fine = math.fsum(_panel(integrand, child) for child in _split4(rect))
+            order += 1
+            heapq.heappush(heap, (-abs(fine - coarse), order, rect, fine))
+        # fsum is correctly rounded, so the order of the leaves never matters.
+        total = math.fsum(leaf[3] for leaf in heap)
+        if math.fsum(-leaf[0] for leaf in heap) <= ANNULUS_REL_TOL * max(abs(total), 1e-300):
+            return total, True
+        if 5 * order >= MAX_PANELS_PER_ANNULUS:
+            return total, False
+        todo = _split4(heapq.heappop(heap)[2])
 
 
 def _annulus_rects(j: int) -> Tuple[Rect, ...]:
@@ -287,22 +258,15 @@ def truncated_norm(
     if not 4 <= j_max <= MAX_J:
         raise ValueError(f"j_max must be between 4 and {MAX_J}")
     integrand = _Integrand(record.mu, P, ell, float(p))
-    annulus_values = [
-        _integrate_region(integrand, _annulus_rects(j)) for j in range(1, j_max + 1)
-    ]
-    epsilons = []
-    values = []
-    running = annulus_values[0]
-    increments: List[Tuple[int, float]] = []
-    for j in range(2, j_max + 1):
-        running += annulus_values[j - 1]
-        epsilons.append(2.0**-j)
-        values.append(running)
-        increments.append((j, annulus_values[j - 1]))
+    annuli = [_integrate_region(integrand, _annulus_rects(j)) for j in range(1, j_max + 1)]
+    values = tuple(itertools.accumulate(value for value, _ in annuli))[1:]
+    increments = [(j, annuli[j - 1][0]) for j in range(2, j_max + 1)]
     verdict, rate = _verdict_from_increments(increments, values[-1])
+    if not all(met for _, met in annuli):
+        verdict = INCONCLUSIVE
     return DivergenceDiagnostic(
-        epsilons=tuple(epsilons),
-        values=tuple(values),
+        epsilons=tuple(2.0**-j for j in range(2, j_max + 1)),
+        values=values,
         verdict=verdict,
         rate_estimate=rate,
     )
@@ -467,21 +431,3 @@ def log_squared_integral(upper: PLike = Fraction(1, 2), tol: float = 1e-10) -> f
             return current
         previous = current
     return previous
-
-
-# -- classification agreement probes -----------------------------------------
-
-
-def agreement_probes(report: RegularityReport) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-    """(p inside, p outside) probes for checking a classification by oracle.
-
-    Probes sit far enough from the band edge that the increment decay/growth
-    rates (at least one log2 unit per level inside, half a unit outside)
-    clear the verdict thresholds for every reachable band.
-    """
-    sup = report.p_sup
-    if sup is None:
-        return Fraction(6), None
-    if sup == 1:
-        return None, Fraction(3, 2)
-    return max(Fraction(1), sup - 1), sup + Fraction(1, 2)

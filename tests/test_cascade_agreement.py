@@ -4,11 +4,15 @@ On seeded random maps, plain and affinely wrapped, and on fields built to
 stop at every depth of the order-2 cascade, ``classify`` must put p inside
 the band exactly when the field satisfies ``constraints_for`` at p; and the
 five C1 residuals must vanish exactly when the field satisfies ``c1_system``.
-The p values sit on every band edge and just inside every band.
+The p values sit on every band edge and just inside every band.  And the
+classification must not change when u and v swap places.
 """
 
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmapreg import (
     CoefficientSpace,
@@ -54,6 +58,12 @@ def _maps(rng):
         yield record
 
 
+def _complete_to_f(record, w):
+    """A field past case e, with w15 and w51 set so that Lambda_8 P vanishes."""
+    table = expected_table(record, w, 8) * Fraction(1, 16)
+    return w + Poly2.monomial(1, 5, table.coeff(0, 8)[0]) + Poly2.monomial(5, 1, table.coeff(8, 0)[3])
+
+
 def _fields(record, rng):
     """Reduced fields stopping before case a, after each of a..e, and after f."""
     coeffs = random_reduced_terms(rng, density=0.6)
@@ -61,9 +71,7 @@ def _fields(record, rng):
         coeffs.setdefault(term, Fraction(rng.randint(1, 9), 4))
     for through in (None,) + CASE_ORDER:
         yield impose_conditions(record, coeffs, through)
-    w = impose_conditions(record, coeffs, "e")
-    table = expected_table(record, w, 8) * Fraction(1, 16)
-    yield w + Poly2.monomial(1, 5, table.coeff(0, 8)[0]) + Poly2.monomial(5, 1, table.coeff(8, 0)[3])
+    yield _complete_to_f(record, impose_conditions(record, coeffs, "e"))
 
 
 def test_cascade_agrees_with_constraint_systems():
@@ -85,3 +93,37 @@ def test_cascade_agrees_with_constraint_systems():
             c1_seen.add(c1)
     assert reached == {1: {"a", "b", "c"}, 2: {"none", "a", "b", "c", "d", "e", "f"}}
     assert c1_seen == {True, False}
+
+
+def _swap(poly):
+    """poly(v, u), with the components of a map exchanged too."""
+    return Poly2(poly.dim, {(k, j): coeffs[::-1] for (j, k), coeffs in poly.terms.items()})
+
+
+@st.composite
+def mirrored_jobs(draw):
+    """(map, field, its mirror image, depth): a seeded standard-form map and a
+    field built to stop after ``depth`` (None: before case a; "f": completed
+    through the level-8 table), and the same pair with u and v swapped."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.sampled_from((None, *CASE_ORDER, "f")))
+    record = random_standard_dmap(rng)
+    w = impose_conditions(record, random_reduced_terms(rng, 0.5), "e" if depth == "f" else depth)
+    if depth == "f":
+        w = _complete_to_f(record, w)
+    z = lift_field(record, w, Fraction(rng.randint(-6, 6), 5), Fraction(rng.randint(-6, 6), 7))
+    return record, z, standardize(_swap(record.y)), depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(job=mirrored_jobs())
+def test_classification_is_invariant_under_swapping_u_and_v(job):
+    record, z, mirror, depth = job
+    alpha, beta, gamma, delta = record.params
+    assert mirror.params == (delta, gamma, beta, alpha)
+    for k in (1, 2):
+        report = classify(record, z, k)
+        swapped = classify(mirror, _swap(z), k)
+        assert (swapped.case_label, swapped.p_sup) == (report.case_label, report.p_sup), (k, depth)
+    if depth == "f":
+        assert report.case_label == "f"

@@ -253,6 +253,27 @@ def test_verify_probe_agrees(tmp_path, capsys):
     assert probe["agree"] is True
 
 
+
+def test_verify_reports_an_exhausted_panel_budget_as_inconclusive(tmp_path, capsys):
+    # At p = 1 the integrand |P| has a kink along u = 1/3, where no panel
+    # budget meets the tolerance: an honest inconclusive, not exit 3.
+    job = {
+        "command": "verify",
+        "geometry": CANONICAL,
+        "field": [[0, 0, "1/9"], [1, 0, "-2/3"], [2, 0, 1]],
+        "k": 1,
+        "p": 1,
+    }
+    code, payload = run(tmp_path, capsys, job)
+    assert code == 0
+    (entry,) = payload["classifications"]
+    assert entry["case"] == "a" and entry["p_sup"] == "3"
+    assert entry["verify"]["consistent"] is True
+    probe = entry["probe"]
+    assert probe["classified_member"] is True
+    assert probe["oracle"]["verdict"] == "inconclusive"
+    assert probe["agree"] is False
+
 def test_classify_with_inline_verify(tmp_path, capsys):
     job = {
         "command": "classify",

@@ -229,3 +229,20 @@ def test_bit_cap_is_named_and_sharp():
         code, out, err = run({"command": "validate", "geometry": REFERENCE + [[3, 3, 1, value]]})
         assert (code, out) == (4, "")
         assert "MAX_BITS = 256" in err
+
+
+def test_long_rationals_are_bounded_before_conversion():
+    # Past Python's 4300-digit conversion limit the cap still names itself,
+    # and leading zeros count for nothing: 5000 zeros then a 1 is the number 1.
+    for value in ("7" * 5000, "1/" + "3" * 5000, "-" + "9" * 5000 + "/7"):
+        start = time.perf_counter()
+        code, out, err = run({"command": "validate", "geometry": REFERENCE + [[3, 3, 1, value]]})
+        assert (code, out) == (4, "")
+        assert "MAX_BITS = 256" in err and "4300" not in err
+        assert time.perf_counter() - start < 0.05
+    for padded, plain in (("0" * 5000 + "1", "1"), ("-" + "0" * 5000 + "1/" + "0" * 5000 + "64", "-1/64")):
+        results = [
+            run({"command": "standardize", "geometry": REFERENCE + [[3, 3, value, 0]]})
+            for value in (padded, plain)
+        ]
+        assert results[0] == results[1] and results[0][0] == 0

@@ -1,5 +1,6 @@
 """Numeric verification oracles."""
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,9 @@ from dmapreg import (
     CONVERGENT,
     DIVERGENT_LOG,
     DIVERGENT_POWER,
+    INCONCLUSIVE,
     Poly2,
+    QuadratureError,
     U,
     V,
     agreement_probes,
@@ -24,6 +27,7 @@ from dmapreg import (
     reduce_field,
     substituted_norm,
     truncated_norm,
+    verify,
 )
 
 
@@ -254,3 +258,115 @@ def test_truncated_norm_is_deterministic(canonical):
     second = truncated_norm(canonical, P, 3, Fraction(2), j_max=10)
     assert first == second  # bit-identical floats, not just approximately
     assert first.values == second.values
+
+
+# -- the adaptive integrator against a reference copy --------------------------
+
+
+def _reference_integrate_region(integrand, rects):
+    """The integrator as it stood before its rewrite around one heap, kept as a
+    reference: it keeps every leaf in a dict beside the heap, sorts the
+    leaves before the final sum, and raises when the panel budget runs out."""
+    rel_tol, max_panels = verify.ANNULUS_REL_TOL, verify.MAX_PANELS_PER_ANNULUS
+    panels_used = 0
+    counter = 0
+    heap = []
+    leaves = {}
+
+    def make_leaf(rect):
+        nonlocal panels_used, counter
+        coarse = verify._panel(integrand, rect)
+        children = verify._split4(rect)
+        child_vals = tuple(verify._panel(integrand, child) for child in children)
+        panels_used += 5
+        fine = math.fsum(child_vals)
+        error = abs(fine - coarse)
+        counter += 1
+        heapq.heappush(heap, (-error, counter, rect, fine, children, child_vals))
+        leaves[counter] = (rect, fine, error)
+
+    for rect in rects:
+        make_leaf(rect)
+    while True:
+        total = math.fsum(value for _, value, _ in leaves.values())
+        total_error = math.fsum(err for _, _, err in leaves.values())
+        if total_error <= rel_tol * max(abs(total), 1e-300):
+            break
+        if panels_used >= max_panels:
+            raise QuadratureError(f"needed more than {max_panels} panels for tolerance {rel_tol:g}")
+        neg_error, leaf_id, rect, fine, children, child_vals = heapq.heappop(heap)
+        if leaf_id not in leaves:
+            continue
+        if -neg_error <= 0.0:
+            break
+        del leaves[leaf_id]
+        for child in children:
+            make_leaf(child)
+    ordered = sorted(leaves.values(), key=lambda item: item[0])
+    return math.fsum(value for _, value, _ in ordered)
+
+
+def test_integrator_matches_its_reference_copy(canonical, monkeypatch):
+    # Seeded k = 1 and k = 2 quotients on seeded maps, plus (u - 1/3)^2 on the
+    # reference map, whose p = 1 integrand has a kink that exhausts the panel
+    # budget.  Where the reference converges the rewrite returns the same
+    # float from the same number of panels; where it raises, the rewrite
+    # reports the shortfall after the same number of panels.
+    from conftest import (
+        CASE_ORDER,
+        dyadic,
+        impose_conditions,
+        lift_field,
+        random_reduced_terms,
+        random_standard_dmap,
+    )
+
+    calls = [0]
+    panel = verify._panel
+
+    def counted(integrand, rect):
+        calls[0] += 1
+        return panel(integrand, rect)
+
+    monkeypatch.setattr(verify, "_panel", counted)
+    rng = random.Random(1717)
+    cases = [(canonical, quotient_first(canonical, (U - Fraction(1, 3)) ** 2))]
+    for depth in (None, *CASE_ORDER):
+        record = random_standard_dmap(rng)
+        w = impose_conditions(record, random_reduced_terms(rng, 0.5), depth)
+        z = lift_field(record, w, z20=dyadic(rng, 3, 4), z02=dyadic(rng, 3, 4))
+        cases += [(record, quotient_first(record, z)), (record, quotient_second(record, w))]
+    tally = {"first pass": 0, "refined": 0, "short": 0}
+    for record, q in cases:
+        for p in (1, 2, 3.5):
+            integrand = verify._Integrand(record.mu, q.P, q.ell, p)
+            for j in range(1, 7):
+                rects = verify._annulus_rects(j)
+                calls[0] = 0
+                try:
+                    expected = _reference_integrate_region(integrand, rects)
+                except QuadratureError:
+                    expected = None
+                reference_calls, calls[0] = calls[0], 0
+                value, met = verify._integrate_region(integrand, rects)
+                assert calls[0] == reference_calls, (p, j)
+                assert met == (expected is not None), (p, j)
+                if met:
+                    assert value == expected, (p, j)
+                first_pass = calls[0] == 5 * len(rects)
+                tally["short" if not met else "first pass" if first_pass else "refined"] += 1
+    assert tally["refined"] >= 15 and tally["short"] >= 1, tally
+
+
+def test_exhausted_panel_budget_is_inconclusive(monkeypatch):
+    # A smooth integrand that meets the tolerance on its first pass, once the
+    # tolerance is out of reach and the budget ends at the first pass: every
+    # annulus falls short, the verdict is inconclusive and nothing raises,
+    # while the values and the fitted slope stay those of the first pass.
+    reached = monomial_oracle(4, 0, 1, 1, j_max=8)
+    monkeypatch.setattr(verify, "ANNULUS_REL_TOL", 0.0)
+    monkeypatch.setattr(verify, "MAX_PANELS_PER_ANNULUS", 1)
+    diag = monomial_oracle(4, 0, 1, 1, j_max=8)
+    assert reached.verdict == CONVERGENT and diag.verdict == INCONCLUSIVE
+    assert diag.values == reached.values
+    assert diag.rate_estimate == reached.rate_estimate
