@@ -89,6 +89,7 @@ from .verify import (
     monomial_oracle,
     substituted_norm,
     truncated_norm,
+    truncated_norms,
 )
 
 __version__ = "0.1.0"
@@ -156,6 +157,7 @@ __all__ = [
     "QuadratureError",
     "SubstitutedBounds",
     "truncated_norm",
+    "truncated_norms",
     "monomial_oracle",
     "substituted_norm",
     "gradient_limit_check",

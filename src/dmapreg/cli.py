@@ -44,7 +44,6 @@ from .dmap import (
 from .poly2 import Poly2
 from .sobolev import (
     InternalInconsistencyError,
-    QuotientData,
     RegularityReport,
     agreement_probes,
     classify,
@@ -52,11 +51,12 @@ from .sobolev import (
 )
 from .verify import (
     CONVERGENT,
+    DivergenceDiagnostic,
     INCONCLUSIVE,
     QuadratureError,
     gradient_limit_check,
     log_squared_integral,
-    truncated_norm,
+    truncated_norms,
 )
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ MAX_BITS = 256
 _MAX_DIGITS = len(str(2**MAX_BITS))
 
 #: An integer or a fraction with a non-zero denominator, such as "-3/4".
-_RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(/0*[1-9][0-9]*)?$")
 
 Result = Tuple[Dict[str, Any], int]
 
@@ -266,10 +266,9 @@ def _run_classify(job: Job) -> Result:
     leading-part cross-check, so each quotient is built once per order."""
     record = _record(job)
 
-    def probe(q: QuotientData, report: RegularityReport, p: Fraction) -> Dict[str, Any]:
+    def probe(diag: DivergenceDiagnostic, report: RegularityReport, p: Fraction) -> Dict[str, Any]:
         """The oracle at p beside the classification's verdict on p; they agree
         when both say member or both say not (inconclusive never agrees)."""
-        diag = truncated_norm(record, q.P, q.ell, p, j_max=job.j_max)
         member = report.contains(p)
         agree = diag.verdict != INCONCLUSIVE and (diag.verdict == CONVERGENT) == member
         return {"p": p, "classified_member": member, "oracle": asdict(diag), "agree": agree}
@@ -280,16 +279,20 @@ def _run_classify(job: Job) -> Result:
         report = classify(record, job.field, k, q)
         entry = _classification_dict(report)
         if q is not None:
-            # One probe just inside the band and one just outside it.
+            # One probe just inside the band and one just outside it, then the
+            # job's p: the oracle integrates every exponent in one pass.
+            probes = zip(("inside", "outside"), agreement_probes(report))
+            sides = [(side, p) for side, p in probes if p is not None]
+            ps = [p for _, p in sides] + ([job.p] if job.p is not None else [])
+            diags = truncated_norms(record, q.P, q.ell, ps, j_max=job.j_max)
+            oracles = [probe(diag, report, p) for diag, p in zip(diags, ps)]
             block, consistent = {}, True
-            for side, p in zip(("inside", "outside"), agreement_probes(report)):
-                if p is not None:
-                    oracle = probe(q, report, p)
-                    block.update({f"p_{side}": p, side: oracle["oracle"]})
-                    consistent = consistent and oracle["agree"]
+            for (side, p), oracle in zip(sides, oracles):
+                block.update({f"p_{side}": p, side: oracle["oracle"]})
+                consistent = consistent and oracle["agree"]
             entry["verify"] = {**block, "consistent": consistent}
-        if job.p is not None:
-            entry["probe"] = probe(q, report, job.p)
+            if job.p is not None:
+                entry["probe"] = oracles[-1]
         entries.append(entry)
     return {"command": job.command, "classifications": entries}, EXIT_OK
 
@@ -467,7 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.j_max = _PARSERS["j_max"](args.j_max, "--j-max")
-        match = re.match(r"^(\d+)x(\d+)$", args.space)
+        match = re.match(r"^([0-9]+)x([0-9]+)$", args.space)
         if not match:
             raise JobError("--space must look like 3x3")
         args.space = _parse_space([int(match.group(1)), int(match.group(2))], "--space")

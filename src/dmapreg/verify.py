@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,16 +63,19 @@ def _gauss_rule() -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Integrand:
-    """(mu^{-l}|P|)^p mu evaluated in log space to dodge overflow.
+    """(mu^{-l}|P|)^p mu for each exponent p, evaluated in log space to dodge
+    overflow.
 
     |P| is the euclidean norm of the components: equivalent to any other
     vector norm (so the divergence verdict is unaffected) and smooth away
     from common zeros, which keeps Gauss panels spectrally accurate.  Each
     polynomial is a coefficient matrix M evaluated on the tensor grid as
-    U M V^T, with U and V power tables of the node vectors.
+    U M V^T, with U and V power tables of the node vectors.  The node arrays
+    may be stacked, one row per panel; mu, |P|^2 and their logs are then
+    built once for all panels and every exponent.
     """
 
-    def __init__(self, mu: Poly2, P: Poly2, ell: int, p: float):
+    def __init__(self, mu: Poly2, P: Poly2, ell: int, ps: Sequence[float]):
         self.matrices = []
         for poly in (mu, *P.components()):
             matrix = np.zeros((poly.max_degree_u + 1, poly.max_degree_v + 1))
@@ -80,14 +83,16 @@ class _Integrand:
                 matrix[j, k] = float(value)
             self.matrices.append(matrix)
         self.shape = tuple(max(m.shape[i] for m in self.matrices) for i in (0, 1))
-        self.p = p
-        self.mu_exponent = 1.0 - ell * p
+        self.ps = tuple(ps)
+        self.mu_exponents = tuple(1.0 - ell * p for p in self.ps)
 
-    def __call__(self, u_nodes: np.ndarray, v_nodes: np.ndarray) -> np.ndarray:
+    def __call__(self, u_nodes: np.ndarray, v_nodes: np.ndarray) -> Tuple[np.ndarray, ...]:
         pu = np.power.outer(u_nodes, np.arange(self.shape[0]))
         pv = np.power.outer(v_nodes, np.arange(self.shape[1]))
         mu_vals, *components = (
-            pu[:, : m.shape[0]] @ m @ pv[:, : m.shape[1]].T for m in self.matrices
+            (pu[..., : m.shape[0]] @ m)
+            @ np.ascontiguousarray(pv[..., : m.shape[1]]).swapaxes(-1, -2)
+            for m in self.matrices
         )
         if np.min(mu_vals) <= 0.0:
             raise QuadratureError("Jacobian determinant non-positive at a quadrature node")
@@ -95,10 +100,13 @@ class _Integrand:
         for values in components[1:]:
             square_sum += np.square(values)
         with np.errstate(divide="ignore"):
-            log_f = 0.5 * self.p * np.log(square_sum) + self.mu_exponent * np.log(mu_vals)
+            log_sq, log_mu = np.log(square_sum), np.log(mu_vals)
         with np.errstate(over="raise"):
             try:
-                return np.exp(log_f)
+                return tuple(
+                    np.exp(0.5 * p * log_sq + mu_exponent * log_mu)
+                    for p, mu_exponent in zip(self.ps, self.mu_exponents)
+                )
             except FloatingPointError as exc:
                 raise QuadratureError("integrand overflow at a quadrature node") from exc
 
@@ -106,14 +114,11 @@ class _Integrand:
 Rect = Tuple[float, float, float, float]
 
 
-def _panel(integrand: _Integrand, rect: Rect) -> float:
+def _panel(values: np.ndarray, rect: Rect) -> float:
+    """The Gauss sum of the integrand's values on one panel's tensor grid."""
     a, b, c, d = rect
-    nodes, weights = _gauss_rule()
-    u_nodes = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-    v_nodes = 0.5 * (c + d) + 0.5 * (d - c) * nodes
-    values = integrand(u_nodes, v_nodes)
-    scale = 0.25 * (b - a) * (d - c)
-    return float(scale * (weights @ values @ weights))
+    _, weights = _gauss_rule()
+    return float(0.25 * (b - a) * (d - c) * (weights @ values @ weights))
 
 
 def _split4(rect: Rect) -> Tuple[Rect, ...]:
@@ -123,31 +128,49 @@ def _split4(rect: Rect) -> Tuple[Rect, ...]:
     return ((a, mu_, c, mv_), (a, mu_, mv_, d), (mu_, b, c, mv_), (mu_, b, mv_, d))
 
 
-def _integrate_region(integrand: _Integrand, rects: Sequence[Rect]) -> Tuple[float, bool]:
-    """Adaptive tensor Gauss-Legendre over a union of rectangles.
+def _integrate_region(integrand: _Integrand, rects: Sequence[Rect]) -> List[Tuple[float, bool]]:
+    """Adaptive tensor Gauss-Legendre over a union of rectangles, at each
+    exponent of the integrand.
 
     Each leaf is a heap entry (-error, order, rect, fine): fine is the sum of
     its four quarter panels, error its distance from the whole panel.  The
-    worst leaf (the oldest among equals) is split until the summed error
-    meets ANNULUS_REL_TOL.  Returns the sum over the leaves and whether it
-    met the tolerance within MAX_PANELS_PER_ANNULUS panels.
+    five panels take one integrand call.  Each exponent has its own heap,
+    whose worst leaf (the oldest among equals) is split until the summed
+    error meets ANNULUS_REL_TOL.  Returns, per exponent, the sum over the
+    leaves and whether it met the tolerance within MAX_PANELS_PER_ANNULUS
+    panels.
     """
-    heap: List[Tuple[float, int, Rect, float]] = []
-    order = 0
-    todo = rects
-    while True:
-        for rect in todo:
-            coarse = _panel(integrand, rect)
-            fine = math.fsum(_panel(integrand, child) for child in _split4(rect))
-            order += 1
-            heapq.heappush(heap, (-abs(fine - coarse), order, rect, fine))
-        # fsum is correctly rounded, so the order of the leaves never matters.
-        total = math.fsum(leaf[3] for leaf in heap)
-        if math.fsum(-leaf[0] for leaf in heap) <= ANNULUS_REL_TOL * max(abs(total), 1e-300):
-            return total, True
-        if 5 * order >= MAX_PANELS_PER_ANNULUS:
-            return total, False
-        todo = _split4(heapq.heappop(heap)[2])
+    nodes, _ = _gauss_rule()
+
+    def evaluate(rect: Rect, indices: Sequence[int]) -> Iterator[Tuple[float, float]]:
+        """(-error, fine) of the leaf rect at each exponent of indices."""
+        panels = (rect, *_split4(rect))
+        a, b, c, d = np.array(panels).T[:, :, None]
+        values = integrand(*(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes for lo, hi in ((a, b), (c, d))))
+        for index in indices:
+            coarse = _panel(values[index][0], rect)
+            fine = math.fsum(map(_panel, values[index][1:], panels[1:]))
+            yield -abs(fine - coarse), fine
+
+    heaps: List[List[Tuple[float, int, Rect, float]]] = [[] for _ in integrand.ps]
+    for order, rect in enumerate(rects, 1):
+        for heap, (error, fine) in zip(heaps, evaluate(rect, range(len(heaps)))):
+            heapq.heappush(heap, (error, order, rect, fine))
+    results = []
+    for index, heap in enumerate(heaps):
+        order = len(rects)
+        while True:
+            # fsum is correctly rounded, so the order of the leaves never matters.
+            total = math.fsum(leaf[3] for leaf in heap)
+            met = math.fsum(-leaf[0] for leaf in heap) <= ANNULUS_REL_TOL * max(abs(total), 1e-300)
+            if met or 5 * order >= MAX_PANELS_PER_ANNULUS:
+                break
+            for rect in _split4(heapq.heappop(heap)[2]):
+                order += 1
+                ((error, fine),) = evaluate(rect, (index,))
+                heapq.heappush(heap, (error, order, rect, fine))
+        results.append((total, met))
+    return results
 
 
 def _annulus_rects(j: int) -> Tuple[Rect, ...]:
@@ -237,39 +260,43 @@ def _verdict_from_increments(
     return INCONCLUSIVE, slope
 
 
-def truncated_norm(
-    record: DMapRecord,
-    P: Poly2,
-    ell: int,
-    p: PLike,
-    j_max: int = 20,
-) -> DivergenceDiagnostic:
-    """Truncated-domain integrals of (mu^{-l}|P|)^p mu with a growth verdict.
+def truncated_norms(
+    record: DMapRecord, P: Poly2, ell: int, ps: Sequence[PLike], j_max: int = 20
+) -> Tuple[DivergenceDiagnostic, ...]:
+    """Truncated-domain integrals of (mu^{-l}|P|)^p mu with a growth verdict,
+    one diagnostic per exponent p of ps.
 
     I(eps_j) integrates over the square minus [0, eps_j]^2 for eps_j = 2^-j,
     j = 2..j_max; the domain is decomposed into dyadic annuli so each
-    increment is an independent, positively-weighted quadrature.
+    increment is an independent, positively-weighted quadrature.  Every
+    exponent is integrated in the same pass over the annuli, and each
+    diagnostic equals that of truncated_norm at its exponent alone.
     """
-    p = Fraction(p)
-    if p < 1:
+    ps = [Fraction(p) for p in ps]
+    if any(p < 1 for p in ps):
         raise ValueError("p must be at least 1")
     if ell < 0:
         raise ValueError("ell must be non-negative")
     if not 4 <= j_max <= MAX_J:
         raise ValueError(f"j_max must be between 4 and {MAX_J}")
-    integrand = _Integrand(record.mu, P, ell, float(p))
+    integrand = _Integrand(record.mu, P, ell, [float(p) for p in ps])
     annuli = [_integrate_region(integrand, _annulus_rects(j)) for j in range(1, j_max + 1)]
-    values = tuple(itertools.accumulate(value for value, _ in annuli))[1:]
-    increments = [(j, annuli[j - 1][0]) for j in range(2, j_max + 1)]
-    verdict, rate = _verdict_from_increments(increments, values[-1])
-    if not all(met for _, met in annuli):
-        verdict = INCONCLUSIVE
-    return DivergenceDiagnostic(
-        epsilons=tuple(2.0**-j for j in range(2, j_max + 1)),
-        values=values,
-        verdict=verdict,
-        rate_estimate=rate,
-    )
+    epsilons = tuple(2.0**-j for j in range(2, j_max + 1))
+    diagnostics = []
+    for column in zip(*annuli):
+        values = tuple(itertools.accumulate(value for value, _ in column))[1:]
+        increments = [(j, column[j - 1][0]) for j in range(2, j_max + 1)]
+        verdict, rate = _verdict_from_increments(increments, values[-1])
+        verdict = verdict if all(met for _, met in column) else INCONCLUSIVE
+        diagnostics.append(DivergenceDiagnostic(epsilons, values, verdict, rate))
+    return tuple(diagnostics)
+
+
+def truncated_norm(
+    record: DMapRecord, P: Poly2, ell: int, p: PLike, j_max: int = 20
+) -> DivergenceDiagnostic:
+    """truncated_norms at the one exponent p."""
+    return truncated_norms(record, P, ell, (p,), j_max=j_max)[0]
 
 
 def monomial_oracle(

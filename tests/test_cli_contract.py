@@ -180,6 +180,8 @@ def test_batches_exit_with_the_worst_code(documents):
 
 # -- bad fields are refused before any work --------------------------------------
 
+#: Rationals in Arabic-Indic digits, which only ASCII digits may spell.
+NON_ASCII = ["\u0663", "3/\u0664"]
 ORACLE_JOB = {"geometry": REFERENCE, "field": [[1, 1, 1]], "k": 2, "j_max": 20}
 BAD_FIELDS = [
     ("verify", {**ORACLE_JOB, "p": 0}),
@@ -201,6 +203,8 @@ BAD_FIELDS = [
     ("validate", {"geometry": REFERENCE + [[3, 3, OVER_BITS[2], 1]]}),
     ("classify", {**ORACLE_JOB, "field": [[1, 1, OVER_BITS[0]]]}),
     ("verify", {**ORACLE_JOB, "p": OVER_BITS[1]}),
+    *(("verify", {**ORACLE_JOB, "p": value}) for value in NON_ASCII),
+    *(("validate", {"geometry": REFERENCE + [[3, 3, 1, value]]}) for value in NON_ASCII),
 ]
 
 
@@ -246,3 +250,22 @@ def test_long_rationals_are_bounded_before_conversion():
             for value in (padded, plain)
         ]
         assert results[0] == results[1] and results[0][0] == 0
+
+
+def test_only_ascii_digits_spell_numbers():
+    for value in NON_ASCII:
+        start = time.perf_counter()
+        code, out, err = run({"command": "verify", **ORACLE_JOB, "p": value})
+        assert time.perf_counter() - start < 0.05
+        assert (code, out) == (4, "")
+        assert err == (
+            f"dmapreg: error: p: expected an integer or a rational string like \"-3/4\", got {value!r} "
+            "(floating point literals are not accepted)\n"
+        )
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = cli.main(["--space", "\u0663x\u0663", "--demo"])
+    assert time.perf_counter() - start < 0.05
+    assert (code, out.getvalue()) == (4, "")
+    assert err.getvalue() == "dmapreg: error: --space must look like 3x3\n"

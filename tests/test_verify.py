@@ -27,6 +27,7 @@ from dmapreg import (
     reduce_field,
     substituted_norm,
     truncated_norm,
+    truncated_norms,
     verify,
 )
 
@@ -263,11 +264,29 @@ def test_truncated_norm_is_deterministic(canonical):
 # -- the adaptive integrator against a reference copy --------------------------
 
 
-def _reference_integrate_region(integrand, rects):
+def _reference_panel(integrand, rect):
+    """One panel as the integrator evaluated it before it stacked each leaf's
+    five panels into one integrand call: its own 1-D node vectors, through a
+    one-exponent integrand."""
+    a, b, c, d = rect
+    nodes, weights = verify._gauss_rule()
+    u_nodes = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    v_nodes = 0.5 * (c + d) + 0.5 * (d - c) * nodes
+    (values,) = integrand(u_nodes, v_nodes)
+    scale = 0.25 * (b - a) * (d - c)
+    return float(scale * (weights @ values @ weights))
+
+
+def _reference_integrate_region(integrand, rects, count):
     """The integrator as it stood before its rewrite around one heap, kept as a
     reference: it keeps every leaf in a dict beside the heap, sorts the
-    leaves before the final sum, and raises when the panel budget runs out."""
+    leaves before the final sum, raises when the panel budget runs out, and
+    evaluates one panel at a time.  count is called once per panel."""
     rel_tol, max_panels = verify.ANNULUS_REL_TOL, verify.MAX_PANELS_PER_ANNULUS
+
+    def panel(rect):
+        count()
+        return _reference_panel(integrand, rect)
     panels_used = 0
     counter = 0
     heap = []
@@ -275,9 +294,9 @@ def _reference_integrate_region(integrand, rects):
 
     def make_leaf(rect):
         nonlocal panels_used, counter
-        coarse = verify._panel(integrand, rect)
+        coarse = panel(rect)
         children = verify._split4(rect)
-        child_vals = tuple(verify._panel(integrand, child) for child in children)
+        child_vals = tuple(panel(child) for child in children)
         panels_used += 5
         fine = math.fsum(child_vals)
         error = abs(fine - coarse)
@@ -324,9 +343,12 @@ def test_integrator_matches_its_reference_copy(canonical, monkeypatch):
     calls = [0]
     panel = verify._panel
 
-    def counted(integrand, rect):
+    def count():
         calls[0] += 1
-        return panel(integrand, rect)
+
+    def counted(values, rect):
+        count()
+        return panel(values, rect)
 
     monkeypatch.setattr(verify, "_panel", counted)
     rng = random.Random(1717)
@@ -339,16 +361,16 @@ def test_integrator_matches_its_reference_copy(canonical, monkeypatch):
     tally = {"first pass": 0, "refined": 0, "short": 0}
     for record, q in cases:
         for p in (1, 2, 3.5):
-            integrand = verify._Integrand(record.mu, q.P, q.ell, p)
+            integrand = verify._Integrand(record.mu, q.P, q.ell, (p,))
             for j in range(1, 7):
                 rects = verify._annulus_rects(j)
                 calls[0] = 0
                 try:
-                    expected = _reference_integrate_region(integrand, rects)
+                    expected = _reference_integrate_region(integrand, rects, count)
                 except QuadratureError:
                     expected = None
                 reference_calls, calls[0] = calls[0], 0
-                value, met = verify._integrate_region(integrand, rects)
+                [(value, met)] = verify._integrate_region(integrand, rects)
                 assert calls[0] == reference_calls, (p, j)
                 assert met == (expected is not None), (p, j)
                 if met:
@@ -370,3 +392,46 @@ def test_exhausted_panel_budget_is_inconclusive(monkeypatch):
     assert reached.verdict == CONVERGENT and diag.verdict == INCONCLUSIVE
     assert diag.values == reached.values
     assert diag.rate_estimate == reached.rate_estimate
+
+
+def _seeded_quotients(canonical):
+    """(u - 1/3)^2 at k = 1 on the reference map, whose p = 1 annulus runs out
+    of panels, and k = 1 and k = 2 quotients of seeded fields on seeded maps."""
+    from conftest import dyadic, impose_conditions, lift_field, random_reduced_terms, random_standard_dmap
+
+    rng = random.Random(2020)
+    cases = [(canonical, quotient_first(canonical, (U - Fraction(1, 3)) ** 2))]
+    for depth in (None, "c"):
+        record = random_standard_dmap(rng)
+        w = impose_conditions(record, random_reduced_terms(rng, 0.5), depth)
+        z = lift_field(record, w, z20=dyadic(rng, 3, 4), z02=dyadic(rng, 3, 4))
+        cases += [(record, quotient_first(record, z)), (record, quotient_second(record, w))]
+    return cases
+
+
+TRUNCATED_NORMS_PS = (1, Fraction(6, 5), 2, Fraction(7, 2), 2)
+
+
+def test_truncated_norms_equal_separate_calls(canonical):
+    verdicts = set()
+    for record, q in _seeded_quotients(canonical):
+        diags = truncated_norms(record, q.P, q.ell, TRUNCATED_NORMS_PS, j_max=8)
+        assert len(diags) == len(TRUNCATED_NORMS_PS)
+        for p, diag in zip(TRUNCATED_NORMS_PS, diags):
+            assert diag == truncated_norm(record, q.P, q.ell, p, j_max=8), p
+        verdicts.update(diag.verdict for diag in diags)
+    assert {CONVERGENT, DIVERGENT_POWER, INCONCLUSIVE} <= verdicts, verdicts
+
+
+def test_truncated_norms_cut_short_per_exponent(canonical, monkeypatch):
+    # Just over the first pass of the outer annulus: an exponent that meets
+    # the tolerance there keeps its verdict, one that needs refining is cut
+    # short and inconclusive, each as in its own call.
+    monkeypatch.setattr(verify, "MAX_PANELS_PER_ANNULUS", 30)
+    record, q = _seeded_quotients(canonical)[1]
+    diags = truncated_norms(record, q.P, q.ell, TRUNCATED_NORMS_PS, j_max=8)
+    for p, diag in zip(TRUNCATED_NORMS_PS, diags):
+        assert diag == truncated_norm(record, q.P, q.ell, p, j_max=8), p
+    verdicts = [diag.verdict for diag in diags]
+    assert INCONCLUSIVE in verdicts and set(verdicts) != {INCONCLUSIVE}, verdicts
+    assert diags[2] == diags[4]
