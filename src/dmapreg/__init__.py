@@ -10,7 +10,7 @@ verdicts on truncated domains.
 
 Layering:
 
-- :mod:`dmapreg.poly2` - exact bivariate polynomials and 2x2 matrix helpers;
+- :mod:`dmapreg.poly2` - exact scalar bivariate polynomials, vectors and 2x2 matrices of them;
 - :mod:`dmapreg.bernstein` - Bernstein-coefficient positivity certificates;
 - :mod:`dmapreg.dmap` - validation and standardisation of degenerate maps;
 - :mod:`dmapreg.sobolev` - derivative quotients and the regularity cascade;
@@ -22,6 +22,7 @@ Layering:
 from .poly2 import (
     Poly2,
     PolyMat2,
+    PolyVec,
     U,
     V,
     adjugate2,
@@ -99,6 +100,7 @@ __all__ = [
     # poly2
     "Poly2",
     "PolyMat2",
+    "PolyVec",
     "U",
     "V",
     "vec2",

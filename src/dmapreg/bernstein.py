@@ -40,12 +40,12 @@ class SubdivisionBudget:
 
 
 def _dense_coefficients(poly: Poly2) -> List[List[Fraction]]:
-    if poly.dim != 1:
+    if not isinstance(poly, Poly2):
         raise ValueError("positivity certification needs a scalar polynomial")
     m = poly.max_degree_u
     n = poly.max_degree_v
     dense = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
-    for (j, k), (value,) in poly.terms.items():
+    for (j, k), value in poly.terms.items():
         dense[j][k] = value
     return dense
 

@@ -41,7 +41,7 @@ from .dmap import (
     standardize,
     validate,
 )
-from .poly2 import Poly2
+from .poly2 import Poly2, PolyVec, _is_int
 from .sobolev import (
     InternalInconsistencyError,
     RegularityReport,
@@ -65,8 +65,10 @@ EXIT_INCONSISTENT = 3
 EXIT_BAD_INPUT = 4
 
 #: Size cap: the largest exponent of a geometry or field term and the largest
-#: degree of a coefficient space.  Validating a map of degree 24 takes a few
-#: seconds, and the cost grows steeply beyond it.
+#: degree of a coefficient space.  One validate of a dense degree-24 map (the
+#: reference map plus every u^j v^k with j, k <= 24, each coefficient at most
+#: 2^-20) took 24 to 43 s on a shared 2-core Xeon, nearly all of it in the
+#: Bernstein boxes of its degree-(47, 47) mu; the cost grows steeply beyond it.
 MAX_DEGREE = 24
 
 #: Size cap: the bits of a rational's numerator plus those of its denominator.
@@ -86,10 +88,6 @@ class JobError(ValueError):
 
 
 # -- the job model -----------------------------------------------------------
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
@@ -113,7 +111,7 @@ def _parse_rational(value: Any, where: str) -> Fraction:
     return number
 
 
-def _parse_poly(data: Any, where: str, dim: int) -> Poly2:
+def _parse_poly(data: Any, where: str, dim: int) -> Poly2 | PolyVec:
     if not isinstance(data, list) or not data:
         raise JobError(f"{where}: expected a non-empty array of term rows")
     terms: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
@@ -129,7 +127,8 @@ def _parse_poly(data: Any, where: str, dim: int) -> Poly2:
         terms[(j, k)] = tuple(
             _parse_rational(c, f"{label} coefficient {i}") for i, c in enumerate(row[2:])
         )
-    return Poly2(dim=dim, terms=terms)
+    entries = tuple(Poly2({e: coeffs[i] for e, coeffs in terms.items()}) for i in range(dim))
+    return entries[0] if dim == 1 else PolyVec(entries)
 
 
 def _parse_space(data: Any, where: str) -> CoefficientSpace:
@@ -171,7 +170,7 @@ class Job:
     """A parsed job: the command, and a value for every field."""
 
     command: str
-    geometry: Optional[Poly2]
+    geometry: Optional[PolyVec]
     field: Optional[Poly2]
     k: Optional[int]
     p: Optional[Fraction]
@@ -192,6 +191,8 @@ def _json(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_json(item) for item in value]
     if isinstance(value, Poly2):
+        return [[j, k, str(coeff)] for (j, k), coeff in value.sorted_terms()]
+    if isinstance(value, PolyVec):
         return [[j, k, *map(str, coeffs)] for (j, k), coeffs in value.sorted_terms()]
     if isinstance(value, Fraction):
         return str(value)
@@ -305,7 +306,7 @@ def _run_constrain(job: Job) -> Result:
 def _run_demo(job: Job) -> Result:
     record = canonical_dmap()
     system = constraints_for(record, 2, Fraction(2), CoefficientSpace(3, 3))
-    smooth = Poly2(1, {(2, 0): 2, (0, 2): 3, (1, 2): 2, (2, 1): 3, (3, 0): Fraction(1, 8)})
+    smooth = Poly2({(2, 0): 2, (0, 2): 3, (1, 2): 2, (2, 1): 3, (3, 0): Fraction(1, 8)})
     gradient = gradient_limit_check(record, smooth, j_max=job.j_max)
     gradient_dict = {
         "limit": gradient.limit,

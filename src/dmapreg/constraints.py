@@ -225,7 +225,7 @@ def c1_system(
 
 def c1_residuals(record: DMapRecord, z: Poly2) -> List[Tuple[str, Fraction]]:
     """Exact residuals of the five differentiability conditions for z."""
-    if z.dim != 1:
+    if not isinstance(z, Poly2):
         raise ValueError("the field must be a scalar polynomial")
     return [(label, evaluate_form(form, z)) for label, form in _c1_forms(record)]
 
@@ -242,13 +242,13 @@ def admissible_basis(system: ConstraintSystem) -> Tuple[Poly2, ...]:
         for row, pivot_col in zip(system.reduced, system.pivots):
             if row[free] != 0:
                 coeffs[indices[pivot_col]] = -row[free]
-        basis.append(Poly2(1, coeffs))
+        basis.append(Poly2(coeffs))
     return tuple(basis)
 
 
 def check_membership(system: ConstraintSystem, z: Poly2) -> Tuple[bool, Tuple[str, ...]]:
     """Evaluate every labelled condition on z; report the violated ones."""
-    if z.dim != 1:
+    if not isinstance(z, Poly2):
         raise ValueError("the field must be a scalar polynomial")
     if not system.space.contains_poly(z):
         raise ValueError("field has support outside the coefficient space")

@@ -36,7 +36,7 @@ from .bernstein import (
     SubdivisionBudget,
     certify_positive_on_box,
 )
-from .poly2 import Poly2, PolyMat2, U, V, adjugate2, det2, mat2, vec2
+from .poly2 import Poly2, PolyMat2, PolyVec, U, V, adjugate2, det2, mat2, vec2
 
 Pair = Tuple[Fraction, Fraction]
 Matrix2 = Tuple[Pair, Pair]
@@ -104,31 +104,26 @@ class ValidationReport:
 class DMapRecord:
     """A validated D-map together with its standard form and cached symbols."""
 
-    x: Poly2
+    x: PolyVec
     x00: Pair
     T: Matrix2
-    y: Poly2
+    y: PolyVec
     params: Tuple[Fraction, Fraction, Fraction, Fraction]  # (alpha, beta, gamma, delta)
     mu: Poly2
     gamma_adj: PolyMat2
     positivity_certified: bool
 
 
-def jacobian(map2: Poly2) -> PolyMat2:
+def jacobian(map2: PolyVec) -> PolyMat2:
     """Jacobian matrix [[d1 y1, d2 y1], [d1 y2, d2 y2]] of an R^2-valued map."""
-    if map2.dim != 2:
+    if not isinstance(map2, PolyVec) or len(map2.entries) != 2:
         raise ValueError("jacobian is defined for R^2-valued maps")
-    y1, y2 = map2.components()
+    y1, y2 = map2.entries
     return mat2(y1.diff(1), y1.diff(2), y2.diff(1), y2.diff(2))
 
 
 def _det_pair(a: Pair, b: Pair) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def _pair(poly: Poly2, j: int, k: int) -> Pair:
-    value = poly.coeff(j, k)
-    return (value[0], value[1])
 
 
 def _apply_matrix(m: Matrix2, vec: Pair) -> Pair:
@@ -138,22 +133,18 @@ def _apply_matrix(m: Matrix2, vec: Pair) -> Pair:
     )
 
 
-def _standard_form(x: Poly2) -> Tuple[Pair, Matrix2, Poly2]:
+def _standard_form(x: PolyVec) -> Tuple[Pair, Matrix2, PolyVec]:
     """Normalising data (x00, T, y) for a map that passed the rank checks."""
-    x20 = _pair(x, 2, 0)
-    x02 = _pair(x, 0, 2)
+    x20 = x.coeff(2, 0)
+    x02 = x.coeff(0, 2)
     det = _det_pair(x20, x02)
     T: Matrix2 = (
         (x02[1] / det, -x02[0] / det),
         (-x20[1] / det, x20[0] / det),
     )
-    x00 = _pair(x, 0, 0)
-    terms: Dict[Tuple[int, int], Pair] = {}
-    for expo, vec in x.terms.items():
-        if expo == (0, 0):
-            continue
-        terms[expo] = _apply_matrix(T, (vec[0], vec[1]))
-    return x00, T, Poly2(2, terms)
+    images = {expo: _apply_matrix(T, vec) for expo, vec in x.terms.items() if expo != (0, 0)}
+    y = PolyVec(tuple(Poly2({e: vec[i] for e, vec in images.items()}) for i in range(2)))
+    return x.coeff(0, 0), T, y
 
 
 # -- positivity tier ---------------------------------------------------------
@@ -194,7 +185,7 @@ def _origin_radius(mu: Poly2, beta: Fraction, gamma: Fraction) -> Optional[Fract
         - Poly2.monomial(0, 3, 2 * gamma)
     )
     exponents: List[Tuple[Fraction, int]] = []
-    for (j, k), (coeff,) in nu.terms.items():
+    for (j, k), coeff in nu.terms.items():
         if j >= 1 and k >= 1:
             e = j + k - 2
         else:
@@ -241,7 +232,7 @@ def _sample_grid(mu: Poly2) -> Tuple[str, Optional[Pair]]:
             powers.append(powers[-1] * u)
         u_powers[u] = powers
     by_k: Dict[int, List[Tuple[int, Fraction]]] = {}
-    for (j, k), (coeff,) in mu.terms.items():
+    for (j, k), coeff in mu.terms.items():
         by_k.setdefault(k, []).append((j, coeff))
     for u in points:
         powers = u_powers[u]
@@ -287,17 +278,17 @@ def _check_positivity(
 # -- public operations -------------------------------------------------------
 
 
-def _analyze(x: Poly2, trust_jacobian: bool) -> Tuple[ValidationReport, Optional[DMapRecord]]:
-    if x.dim != 2:
+def _analyze(x: PolyVec, trust_jacobian: bool) -> Tuple[ValidationReport, Optional[DMapRecord]]:
+    if not isinstance(x, PolyVec) or len(x.entries) != 2:
         raise ValueError("a geometry map must be R^2-valued")
     if x.is_zero:
         raise ValueError("the zero polynomial is not a geometry map")
     zero_pair = (_F0, _F0)
-    degeneracy_ok = all(_pair(x, j, k) == zero_pair for j, k in ((1, 0), (0, 1), (1, 1)))
-    x20 = _pair(x, 2, 0)
-    x02 = _pair(x, 0, 2)
-    x21 = _pair(x, 2, 1)
-    x12 = _pair(x, 1, 2)
+    degeneracy_ok = all(x.coeff(j, k) == zero_pair for j, k in ((1, 0), (0, 1), (1, 1)))
+    x20 = x.coeff(2, 0)
+    x02 = x.coeff(0, 2)
+    x21 = x.coeff(2, 1)
+    x12 = x.coeff(1, 2)
     rank_20_21 = _det_pair(x20, x21) != 0
     rank_02_12 = _det_pair(x02, x12) != 0
     rank_20_02 = _det_pair(x20, x02) != 0
@@ -307,8 +298,8 @@ def _analyze(x: Poly2, trust_jacobian: bool) -> Tuple[ValidationReport, Optional
         )
         return report, None
     x00, T, y = _standard_form(x)
-    alpha, beta = _pair(y, 2, 1)
-    gamma, delta = _pair(y, 1, 2)
+    alpha, beta = y.coeff(2, 1)
+    gamma, delta = y.coeff(1, 2)
     dy = jacobian(y)
     mu = det2(dy)
     status, witness = _check_positivity(mu, beta, gamma, trust_jacobian)
@@ -328,13 +319,13 @@ def _analyze(x: Poly2, trust_jacobian: bool) -> Tuple[ValidationReport, Optional
     return report, record
 
 
-def validate(x: Poly2, *, trust_jacobian: bool = False) -> ValidationReport:
+def validate(x: PolyVec, *, trust_jacobian: bool = False) -> ValidationReport:
     """Check the D-map properties of x and report each flag."""
     report, _ = _analyze(x, trust_jacobian)
     return report
 
 
-def standardize(x: Poly2, *, trust_jacobian: bool = False) -> DMapRecord:
+def standardize(x: PolyVec, *, trust_jacobian: bool = False) -> DMapRecord:
     """Validate x and return its standard-form record; reject otherwise."""
     report, record = _analyze(x, trust_jacobian)
     if record is None:
@@ -349,11 +340,11 @@ def reduce_field(record: DMapRecord, z: Poly2) -> Poly2:
     to a linear polynomial in the image coordinates, which leaves every
     second-order smoothness question unchanged.
     """
-    if z.dim != 1:
+    if not isinstance(z, Poly2):
         raise ValueError("the field must be a scalar polynomial")
     z20 = z.coeff(2, 0)
     z02 = z.coeff(0, 2)
-    y1, y2 = record.y.components()
+    y1, y2 = record.y.entries
     return z - z20 * y1 - z02 * y2
 
 

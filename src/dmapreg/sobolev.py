@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dmap import DMapRecord, reduce_field
-from .poly2 import Exponent, Poly2
+from .poly2 import Exponent, Poly2, PolyVec
 
 PLike = Union[int, Fraction]
 
@@ -58,7 +58,7 @@ def _dot(pairs: Sequence[Tuple[Poly2, Poly2]], bound: Optional[int]) -> Poly2:
     acc: Dict[Exponent, Fraction] = {}
     for a, b in pairs:
         left, right = (
-            sorted(((weight(*e), e, c) for e, (c,) in f.terms.items()), key=lambda t: t[0])
+            sorted(((weight(*e), e, c) for e, c in f.terms.items()), key=lambda t: t[0])
             for f in (a, b)
         )
         for wa, (ja, ka), ca in left:
@@ -67,7 +67,7 @@ def _dot(pairs: Sequence[Tuple[Poly2, Poly2]], bound: Optional[int]) -> Poly2:
                     break
                 expo = (ja + jb, ka + kb)
                 acc[expo] = acc.get(expo, 0) + ca * cb
-    return Poly2(1, {e: (c,) for e, c in acc.items() if bound is None or weight(*e) <= bound})
+    return Poly2({e: c for e, c in acc.items() if bound is None or weight(*e) <= bound})
 
 
 def monomial_in_Lp(m: int, n: int, ell: int, p: PLike) -> bool:
@@ -89,7 +89,7 @@ def p_range(r: int, ell: int) -> Tuple[Fraction, Optional[Fraction]]:
     return lower, upper
 
 
-def leading_part(P: Poly2, r: int) -> Poly2:
+def leading_part(P: PolyVec, r: int) -> PolyVec:
     """Terms of P whose exponents have weight at most r."""
     return P.filter_terms(lambda j, k: weight(j, k) <= r)
 
@@ -99,7 +99,7 @@ class QuotientData:
     """The polynomial quotient P with its denominator power l for order k."""
 
     k: int
-    P: Poly2
+    P: PolyVec
     ell: int
 
 
@@ -113,20 +113,20 @@ def _times_gamma(
 
 def quotient_first(record: DMapRecord, z: Poly2) -> QuotientData:
     """First-order quotient P = Dz * Gamma (so Dh o y = mu^{-1} P)."""
-    if z.dim != 1:
+    if not isinstance(z, Poly2):
         raise ValueError("the field must be a scalar polynomial")
-    row = [_times_gamma(record, (z.diff(1), z.diff(2)), l, None) for l in range(2)]
-    return QuotientData(k=1, P=Poly2.from_components(row), ell=1)
+    row = tuple(_times_gamma(record, (z.diff(1), z.diff(2)), l, None) for l in range(2))
+    return QuotientData(k=1, P=PolyVec(row), ell=1)
 
 
-def _second_order_row(record: DMapRecord, w: Poly2, bound: Optional[int]) -> Poly2:
-    """The components (11, 12, 21, 22) of P = Gamma^T Q Gamma, to weight ``bound``.
+def _second_order_row(record: DMapRecord, w: Poly2, bound: Optional[int]) -> PolyVec:
+    """The entries (11, 12, 21, 22) of P = Gamma^T Q Gamma, to weight ``bound``.
 
     Q = mu D^2 w - sum_a (Dw Gamma)_a D^2 y_a and P are symmetric, so only
     Q11, Q12, Q22 and, through R = Q Gamma, P11, P12, P22 are built.
     """
     dw = (w.diff(1), w.diff(2))
-    y = record.y.components()
+    y = record.y.entries
     weighted = [(record.mu, w)] + [(-_times_gamma(record, dw, a, bound), y[a]) for a in range(2)]
     q: List[List[Poly2]] = [[Poly2.zero()] * 2 for _ in range(2)]
     for i, j in ((0, 0), (0, 1), (1, 1)):
@@ -136,12 +136,12 @@ def _second_order_row(record: DMapRecord, w: Poly2, bound: Optional[int]) -> Pol
     p11, p12, p22 = (
         _times_gamma(record, (r[0][l], r[1][l]), k, bound) for k, l in ((0, 0), (0, 1), (1, 1))
     )
-    return Poly2.from_components([p11, p12, p12, p22])
+    return PolyVec((p11, p12, p12, p22))
 
 
 def quotient_second(record: DMapRecord, w: Poly2) -> QuotientData:
     """Second-order quotient for a reduced field (requires w20 = w02 = 0)."""
-    if w.dim != 1:
+    if not isinstance(w, Poly2):
         raise ValueError("the field must be a scalar polynomial")
     if w.coeff(2, 0) != 0 or w.coeff(0, 2) != 0:
         raise ValueError("quotient_second expects a reduced field with w20 = w02 = 0")
@@ -229,7 +229,7 @@ def _k2_conditions(record: DMapRecord) -> List[List[Condition]]:
     alpha, beta, gamma, delta = record.params
     pair = record.y.coeff
     # The u-side identity mirrors the v-side one under the u <-> v swap, which
-    # also exchanges the two map components; hence the reversed pairs here.
+    # also exchanges the two map entries; hence the reversed pairs here.
     vec_u = [
         2 * a - 3 * alpha * b - 2 * beta * g
         for a, b, g in zip(pair(3, 1)[::-1], pair(3, 0)[::-1], pair(1, 2)[::-1])
@@ -320,7 +320,7 @@ def classify(
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    if z.dim != 1:
+    if not isinstance(z, Poly2):
         raise ValueError("the field must be a scalar polynomial")
     if q is not None and q.k != k:
         raise ValueError(f"an order-{q.k} quotient given for order {k}")

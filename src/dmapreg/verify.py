@@ -32,7 +32,7 @@ import numpy as np
 
 from .constraints import c1_residuals
 from .dmap import DMapRecord, canonical_dmap, jacobian
-from .poly2 import Poly2
+from .poly2 import Poly2, PolyVec
 
 PLike = Union[int, Fraction]
 
@@ -66,7 +66,7 @@ class _Integrand:
     """(mu^{-l}|P|)^p mu for each exponent p, evaluated in log space to dodge
     overflow.
 
-    |P| is the euclidean norm of the components: equivalent to any other
+    |P| is the euclidean norm of the entries: equivalent to any other
     vector norm (so the divergence verdict is unaffected) and smooth away
     from common zeros, which keeps Gauss panels spectrally accurate.  Each
     polynomial is a coefficient matrix M evaluated on the tensor grid as
@@ -75,11 +75,11 @@ class _Integrand:
     built once for all panels and every exponent.
     """
 
-    def __init__(self, mu: Poly2, P: Poly2, ell: int, ps: Sequence[float]):
+    def __init__(self, mu: Poly2, P: PolyVec, ell: int, ps: Sequence[float]):
         self.matrices = []
-        for poly in (mu, *P.components()):
+        for poly in (mu, *P.entries):
             matrix = np.zeros((poly.max_degree_u + 1, poly.max_degree_v + 1))
-            for (j, k), (value,) in poly.terms.items():
+            for (j, k), value in poly.terms.items():
                 matrix[j, k] = float(value)
             self.matrices.append(matrix)
         self.shape = tuple(max(m.shape[i] for m in self.matrices) for i in (0, 1))
@@ -89,15 +89,15 @@ class _Integrand:
     def __call__(self, u_nodes: np.ndarray, v_nodes: np.ndarray) -> Tuple[np.ndarray, ...]:
         pu = np.power.outer(u_nodes, np.arange(self.shape[0]))
         pv = np.power.outer(v_nodes, np.arange(self.shape[1]))
-        mu_vals, *components = (
+        mu_vals, *entries = (
             (pu[..., : m.shape[0]] @ m)
             @ np.ascontiguousarray(pv[..., : m.shape[1]]).swapaxes(-1, -2)
             for m in self.matrices
         )
         if np.min(mu_vals) <= 0.0:
             raise QuadratureError("Jacobian determinant non-positive at a quadrature node")
-        square_sum = np.square(components[0])
-        for values in components[1:]:
+        square_sum = np.square(entries[0])
+        for values in entries[1:]:
             square_sum += np.square(values)
         with np.errstate(divide="ignore"):
             log_sq, log_mu = np.log(square_sum), np.log(mu_vals)
@@ -261,7 +261,7 @@ def _verdict_from_increments(
 
 
 def truncated_norms(
-    record: DMapRecord, P: Poly2, ell: int, ps: Sequence[PLike], j_max: int = 20
+    record: DMapRecord, P: PolyVec, ell: int, ps: Sequence[PLike], j_max: int = 20
 ) -> Tuple[DivergenceDiagnostic, ...]:
     """Truncated-domain integrals of (mu^{-l}|P|)^p mu with a growth verdict,
     one diagnostic per exponent p of ps.
@@ -293,7 +293,7 @@ def truncated_norms(
 
 
 def truncated_norm(
-    record: DMapRecord, P: Poly2, ell: int, p: PLike, j_max: int = 20
+    record: DMapRecord, P: PolyVec, ell: int, p: PLike, j_max: int = 20
 ) -> DivergenceDiagnostic:
     """truncated_norms at the one exponent p."""
     return truncated_norms(record, P, ell, (p,), j_max=j_max)[0]
@@ -312,7 +312,7 @@ def monomial_oracle(
         raise ValueError("exponents must be non-negative")
     if record is None:
         record = canonical_dmap()
-    return truncated_norm(record, Poly2.monomial(m, n), ell, p, j_max=j_max)
+    return truncated_norm(record, PolyVec((Poly2.monomial(m, n),)), ell, p, j_max=j_max)
 
 
 # -- closed-form cross-check -------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 from hypothesis import settings
 
-from dmapreg import DMapRecord, Poly2, standardize, validate
+from dmapreg import DMapRecord, Poly2, PolyVec, standardize, validate
 
 Pair = Tuple[Fraction, Fraction]
 
@@ -63,7 +63,7 @@ def random_standard_dmap(rng: random.Random, extra: Optional[int] = None) -> DMa
         }
         for e, (c1, c2) in extras.items():
             terms[e] = (c1 * shrink, c2 * shrink)
-        y = Poly2(2, terms)
+        y = pair_map(terms)
         report = validate(y)
         if report.accepted and report.jacobian_positive == "certified":
             return standardize(y)
@@ -82,7 +82,12 @@ def random_affine(rng: random.Random) -> Tuple[Tuple[Pair, Pair], Pair]:
     return ((a, b), (c, d)), shift
 
 
-def affine_wrap(y: Poly2, matrix: Tuple[Pair, Pair], shift: Pair) -> Poly2:
+def pair_map(terms: Dict[Tuple[int, int], Pair]) -> PolyVec:
+    """The R^2-valued map with the coefficient pair terms[e] at each exponent e."""
+    return PolyVec(tuple(Poly2({e: pair[i] for e, pair in terms.items()}) for i in range(2)))
+
+
+def affine_wrap(y: PolyVec, matrix: Tuple[Pair, Pair], shift: Pair) -> PolyVec:
     """x = A y + b as an exact polynomial map."""
     (a, b), (c, d) = matrix
     terms: Dict[Tuple[int, int], Pair] = {}
@@ -94,7 +99,7 @@ def affine_wrap(y: Poly2, matrix: Tuple[Pair, Pair], shift: Pair) -> Poly2:
         terms.pop((0, 0), None)
     else:
         terms[(0, 0)] = combined
-    return Poly2(2, terms)
+    return pair_map(terms)
 
 
 def random_reduced_terms(rng: random.Random, density: float = 0.5) -> Dict[Tuple[int, int], Fraction]:
@@ -164,18 +169,18 @@ def impose_conditions(
             put(1, 3, Fraction(0))
             put(4, 1, 2 * alpha * get(4, 0) + beta * get(2, 2))
             put(1, 4, 2 * delta * get(0, 4) + gamma * get(2, 2))
-    return Poly2(1, {e: (v,) for e, v in c.items()})
+    return Poly2(c)
 
 
 def lift_field(
     record: DMapRecord, w: Poly2, z20: Fraction = Fraction(0), z02: Fraction = Fraction(0)
 ) -> Poly2:
     """A raw field z whose reduction is exactly w, with the given z20, z02."""
-    y1, y2 = record.y.components()
+    y1, y2 = record.y.entries
     return w + y1 * z20 + y2 * z02
 
 
-def expected_table(record: DMapRecord, w: Poly2, r: int) -> Poly2:
+def expected_table(record: DMapRecord, w: Poly2, r: int) -> PolyVec:
     """Closed-form leading part (times 16) at level r, for fields satisfying
     the preceding cascade conditions (and w30 = w03 = 0 at levels 7, 8).
 
@@ -224,13 +229,13 @@ def expected_table(record: DMapRecord, w: Poly2, r: int) -> Poly2:
     else:
         raise ValueError(f"no table at level {r}")
     zero = Poly2.zero()
-    return Poly2.from_components(
-        [
+    return PolyVec(
+        (
             Poly2.monomial(0, r, 16 * a_coeff),
             zero,
             zero,
             Poly2.monomial(r, 0, 16 * d_coeff),
-        ]
+        )
     )
 
 

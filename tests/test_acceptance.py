@@ -19,6 +19,7 @@ from dmapreg import (
     CoefficientSpace,
     InternalInconsistencyError,
     Poly2,
+    PolyVec,
     U,
     V,
     admissible_basis,
@@ -44,6 +45,7 @@ from conftest import (
     expected_table,
     impose_conditions,
     lift_field,
+    pair_map,
     random_affine,
     random_reduced_terms,
     random_standard_dmap,
@@ -149,7 +151,7 @@ def test_criterion_4_cascade_cross_validation(announce):
                 value = dyadic(rng, 4, 16)
                 if value != 0:
                     terms[expo] = value
-            z = Poly2(1, {expo: (value,) for expo, value in terms.items()})
+            z = Poly2(terms)
         else:
             w = impose_conditions(record, random_reduced_terms(rng, 0.6), depths[i % 6])
             z = lift_field(record, w, z20=dyadic(rng, 3, 4), z02=dyadic(rng, 3, 4))
@@ -158,7 +160,7 @@ def test_criterion_4_cascade_cross_validation(announce):
         report_2 = classify(record, z, 2)
         cases_seen.add((1, report_1.case_label))
         cases_seen.add((2, report_2.case_label))
-        components = quotient_second(record, reduce_field(record, z)).P.components()
+        components = quotient_second(record, reduce_field(record, z)).P.entries
         level = _MIXED_LEVEL[report_2.case_label]
         assert leading_part(components[1], level).is_zero, report_2.case_label
         assert leading_part(components[2], level).is_zero, report_2.case_label
@@ -191,7 +193,7 @@ def test_criterion_5_c1_but_not_W22(canonical, announce):
 
 
 def test_criterion_6_gradient_limits(canonical, announce):
-    y1, y2 = canonical.y.components()
+    y1, y2 = canonical.y.entries
     fixtures = [
         (y1, (Fraction(1), Fraction(0))),
         (y2, (Fraction(0), Fraction(1))),
@@ -235,9 +237,8 @@ def test_criterion_7_constraint_dimensions(canonical, announce):
     )
 
 
-def _negative_parameter_map(beta: Fraction, gamma: Fraction) -> Poly2:
-    return Poly2(
-        2,
+def _negative_parameter_map(beta: Fraction, gamma: Fraction) -> PolyVec:
+    return pair_map(
         {
             (2, 0): (Fraction(1), Fraction(0)),
             (0, 2): (Fraction(0), Fraction(1)),
@@ -258,7 +259,7 @@ def test_criterion_8_invariance_and_rejection(announce):
             record, random_reduced_terms(rng, 0.5), rng.choice([None, "a", "b", "c"])
         )
         z = lift_field(record, w, z20=dyadic(rng, 3, 4), z02=dyadic(rng, 3, 4))
-        y1, y2 = record.y.components()
+        y1, y2 = record.y.entries
         shifted = z + dyadic(rng, 2, 4) + y1 * dyadic(rng, 2, 4) + y2 * dyadic(rng, 2, 4)
         for k in (1, 2):
             assert classify(record, z, k) == classify(wrapped, shifted, k)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dmapreg import (
     CoefficientSpace,
     Poly2,
+    PolyVec,
     c1_residuals,
     c1_system,
     check_membership,
@@ -60,8 +61,8 @@ def _maps(rng):
 
 def _complete_to_f(record, w):
     """A field past case e, with w15 and w51 set so that Lambda_8 P vanishes."""
-    table = expected_table(record, w, 8) * Fraction(1, 16)
-    return w + Poly2.monomial(1, 5, table.coeff(0, 8)[0]) + Poly2.monomial(5, 1, table.coeff(8, 0)[3])
+    table = expected_table(record, w, 8)
+    return w + Poly2.monomial(1, 5, table.coeff(0, 8)[0] / 16) + Poly2.monomial(5, 1, table.coeff(8, 0)[3] / 16)
 
 
 def _fields(record, rng):
@@ -96,8 +97,10 @@ def test_cascade_agrees_with_constraint_systems():
 
 
 def _swap(poly):
-    """poly(v, u), with the components of a map exchanged too."""
-    return Poly2(poly.dim, {(k, j): coeffs[::-1] for (j, k), coeffs in poly.terms.items()})
+    """poly(v, u), with the entries of a map exchanged too."""
+    if isinstance(poly, PolyVec):
+        return PolyVec(tuple(_swap(entry) for entry in poly.entries[::-1]))
+    return Poly2({(k, j): c for (j, k), c in poly.terms.items()})
 
 
 @st.composite

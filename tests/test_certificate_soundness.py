@@ -21,7 +21,7 @@ def standard_mu(beta, gamma, remainder):
     """mu = 4uv + 2 beta u^3 + 2 gamma v^3 + the remainder terms."""
     terms = {(1, 1): 4, (3, 0): 2 * beta, (0, 3): 2 * gamma}
     terms.update(remainder)
-    return Poly2(1, terms)
+    return Poly2(terms)
 
 
 def triangle_points(eps, steps=32):
@@ -94,7 +94,7 @@ def test_box_certificates_are_sound():
             for _ in range(rng.randint(1, 5))
         }
         terms[(0, 0)] = Fraction(rng.randint(0, 12), 4)
-        poly = Poly2(1, terms)
+        poly = Poly2(terms)
         lo_u, lo_v = Fraction(rng.randint(0, 3), 4), Fraction(rng.randint(0, 3), 4)
         width = Fraction(1, rng.choice((4, 8)))
         box = (lo_u, lo_u + width, lo_v, lo_v + width)

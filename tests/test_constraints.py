@@ -114,7 +114,7 @@ def test_c1_residuals_flag_violations():
     assert residuals["z11"] == 1
     assert residuals["z01"] == 0
     # z = y1 satisfies every differentiability condition.
-    y1, _ = record.y.components()
+    y1, _ = record.y.entries
     assert all(res == 0 for _, res in c1_residuals(record, y1))
 
 

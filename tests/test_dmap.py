@@ -18,7 +18,7 @@ from dmapreg import (
     validate,
     vec2,
 )
-from conftest import affine_wrap, random_affine, random_standard_dmap
+from conftest import affine_wrap, pair_map, random_affine, random_standard_dmap
 
 
 def test_canonical_map_accepted_and_certified():
@@ -123,7 +123,7 @@ def test_non_dmap_inputs_rejected():
     with pytest.raises(ValueError):
         validate(U + V)  # scalar, not a map
     with pytest.raises(ValueError):
-        validate(Poly2.zero(dim=2))
+        validate(vec2(Poly2.zero(), Poly2.zero()))
 
 
 def test_sampling_tier_when_certification_budget_tiny(monkeypatch):
@@ -140,7 +140,7 @@ def test_small_beta_map_is_certified():
     # beta = 2^-20 puts the origin radius at 2^-20: the search must go that
     # deep for the map to be certified instead of sampled.
     beta = Fraction(1, 2**20)
-    x = Poly2(2, {
+    x = pair_map({
         (2, 0): (1, 0), (0, 2): (0, 1), (2, 1): (0, beta), (1, 2): (1, 0),
         (1, 3): (Fraction(1, 2), Fraction(-1, 4)), (3, 1): (Fraction(1, 8), 0),
     })
@@ -195,9 +195,8 @@ def test_reduce_field_zeroes_quadratic_tangentials():
     rng = random.Random(23)
     for _ in range(5):
         z = Poly2(
-            1,
             {
-                (rng.randint(0, 3), rng.randint(0, 3)): (Fraction(rng.randint(-6, 6), 4),)
+                (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-6, 6), 4)
                 for _ in range(6)
             },
         )
@@ -205,7 +204,7 @@ def test_reduce_field_zeroes_quadratic_tangentials():
         assert w.coeff(2, 0) == 0
         assert w.coeff(0, 2) == 0
         # Reconstruction: z = w + z20 y1 + z02 y2.
-        y1, y2 = record.y.components()
+        y1, y2 = record.y.entries
         assert w + y1 * z.coeff(2, 0) + y2 * z.coeff(0, 2) == z
 
 

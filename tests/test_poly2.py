@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dmapreg import Poly2, U, V, adjugate2, det2, mat2, vec2
+from dmapreg import Poly2, PolyVec, U, V, adjugate2, det2, mat2, vec2
 
 
 def test_monomial_and_constant_basics():
@@ -21,36 +21,36 @@ def test_monomial_and_constant_basics():
 
 
 def test_zero_terms_are_stripped():
-    p = Poly2(1, {(1, 0): (Fraction(0),), (0, 1): (Fraction(2),)})
+    p = Poly2({(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in p.terms
     assert p.coeff(0, 1) == 2
 
 
 def test_invalid_construction():
     with pytest.raises(ValueError):
-        Poly2(0, {})
+        Poly2({(-1, 0): Fraction(1)})
     with pytest.raises(ValueError):
-        Poly2(1, {(-1, 0): (Fraction(1),)})
+        Poly2({(0, 0): (Fraction(1),)})  # a vector coefficient
+    # bool is a subclass of int, but neither an exponent nor a coefficient.
+    for terms in ({(True, 0): 1}, {(0, False): 1}, {(1, 0): True}):
+        with pytest.raises(ValueError):
+            Poly2(terms)
     with pytest.raises(ValueError):
-        Poly2(2, {(0, 0): (Fraction(1),)})  # wrong vector length
+        Poly2.monomial(True, 0)
+    with pytest.raises(ValueError):
+        Poly2.monomial(1, 0, False)
+    with pytest.raises(ValueError):
+        U**True
 
 
 def test_arithmetic_matches_evaluation():
     rng = random.Random(101)
     for _ in range(25):
         a = Poly2(
-            1,
-            {
-                (rng.randint(0, 3), rng.randint(0, 3)): (Fraction(rng.randint(-5, 5)),)
-                for _ in range(4)
-            },
+            {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-5, 5)) for _ in range(4)}
         )
         b = Poly2(
-            1,
-            {
-                (rng.randint(0, 3), rng.randint(0, 3)): (Fraction(rng.randint(-5, 5)),)
-                for _ in range(4)
-            },
+            {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-5, 5)) for _ in range(4)}
         )
         pt = (Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 4))
         assert (a + b).eval(pt) == a.eval(pt) + b.eval(pt)
@@ -79,24 +79,31 @@ def test_diff():
 
 def test_vector_polynomials():
     v = vec2(U**2, V**2 + U)
-    assert v.dim == 2
+    assert v == PolyVec((U**2, V**2 + U))
     assert v.coeff(2, 0) == (1, 0)
     assert v.coeff(1, 0) == (0, 1)
-    c1, c2 = v.components()
+    c1, c2 = v.entries
     assert c1 == U**2
     assert c2 == V**2 + U
-    assert Poly2.from_components([c1, c2]) == v
+    assert v.terms == {(2, 0): (1, 0), (0, 2): (0, 1), (1, 0): (0, 1)}
+    assert v.sorted_terms() == sorted(v.terms.items())
+    assert v.filter_terms(lambda j, k: k == 0) == vec2(U**2, U)
+    assert not v.is_zero and vec2(Poly2.zero(), Poly2.zero()).is_zero
     pt = (Fraction(1, 2), Fraction(1, 3))
-    assert v.eval(pt) == (Fraction(1, 4), Fraction(1, 9) + Fraction(1, 2))
+    assert tuple(c.eval(pt) for c in v.entries) == (Fraction(1, 4), Fraction(1, 9) + Fraction(1, 2))
 
 
 def test_dim_mismatch_rejected():
     scalar = U + V
     vector = vec2(U, V)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         scalar + vector
+    with pytest.raises(TypeError):
+        vector * vector  # a PolyVec has no arithmetic
     with pytest.raises(ValueError):
-        vector * vector  # vector-vector product undefined
+        PolyVec((scalar, vector))  # entries are scalar polynomials
+    with pytest.raises(ValueError):
+        PolyVec(())
 
 
 def test_filter_and_sorted_terms():
@@ -124,11 +131,7 @@ def test_matrix_det_adjugate_identity():
     for _ in range(10):
         entries = [
             Poly2(
-                1,
-                {
-                    (rng.randint(0, 2), rng.randint(0, 2)): (Fraction(rng.randint(-4, 4)),)
-                    for _ in range(3)
-                },
+                {(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-4, 4)) for _ in range(3)}
             )
             for _ in range(4)
         ]

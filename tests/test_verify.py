@@ -105,7 +105,7 @@ def test_agreement_probes_table(canonical):
 
 
 def test_gradient_limit_canonical_components(canonical):
-    y1, y2 = canonical.y.components()
+    y1, y2 = canonical.y.entries
     report = gradient_limit_check(canonical, y1, j_max=12)
     assert report.limit == (Fraction(1), Fraction(0))
     assert report.max_deviation < 1e-6
@@ -116,7 +116,7 @@ def test_gradient_limit_canonical_components(canonical):
 
 
 def test_gradient_limit_mixed_field(canonical):
-    y1, y2 = canonical.y.components()
+    y1, y2 = canonical.y.entries
     z = 2 * y1 + 3 * y2 + U**3 * Fraction(1, 8)
     # The observed gradients converge at rate O(t), t = 2^-j_max.
     report = gradient_limit_check(canonical, z, j_max=12)
@@ -226,7 +226,7 @@ def test_classification_agreement_on_random_instances():
                 value = dyadic(rng, 4, 16)
                 if value != 0:
                     terms[expo] = value
-            z = Poly2(1, {expo: (value,) for expo, value in terms.items()})
+            z = Poly2(terms)
         else:
             depth = (None, *CASE_ORDER)[i % 6]
             w = impose_conditions(record, random_reduced_terms(rng, 0.5), depth)
